@@ -75,7 +75,7 @@ void BM_SellSpmv(benchmark::State& state) {
   const Vector x = random_vector(static_cast<std::size_t>(a.cols()), rng);
   Vector y(static_cast<std::size_t>(a.rows()));
   for (auto _ : state) {
-    s.spmv(x, y);
+    scalar_backend().sell_spmv(s, x, y, /*parallel=*/false);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * a.nnz());
@@ -95,7 +95,7 @@ void BM_FusedDiagSweepCsr(benchmark::State& state) {
                                  1.0);
   Vector x(b.size(), 0.0), xo(b.size());
   for (auto _ : state) {
-    fused_diag_sweep(a, d, b, x, xo);
+    scalar_backend().csr_diag_sweep(a, d, b, x, xo, /*parallel=*/false);
     x.swap(xo);
     benchmark::DoNotOptimize(x.data());
   }
@@ -113,7 +113,7 @@ void BM_FusedDiagSweepSell(benchmark::State& state) {
                                  1.0);
   Vector x(b.size(), 0.0), xo(b.size());
   for (auto _ : state) {
-    s.fused_diag_sweep(d, b, x, xo);
+    scalar_backend().sell_diag_sweep(s, d, b, x, xo, /*parallel=*/false);
     x.swap(xo);
     benchmark::DoNotOptimize(x.data());
   }

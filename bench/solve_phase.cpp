@@ -6,9 +6,9 @@
 // Configurations (one MgSetup per format so conversion cost never leaks
 // into the timed loop):
 //
-//   reference   set_fused(false): the original two-pass CSR path with
-//                per-call smoother temporaries -- the bitwise oracle and
-//                the speedup baseline.
+//   reference   oracle::reference_cycle (tests/oracle): the original
+//                two-pass CSR path with per-call smoother temporaries --
+//                the bitwise oracle and the speedup baseline.
 //   fused_csr   fused kernels + cycle workspace, all levels CSR.
 //   fused_sell  fused kernels + cycle workspace + SELL-C-sigma on the
 //                levels the heuristic selects.
@@ -30,6 +30,7 @@
 #include "backend/backend.hpp"
 #include "bench_common.hpp"
 #include "multigrid/pcg.hpp"
+#include "oracle/reference_cycle.hpp"
 #include "sparse/sellcs.hpp"
 #include "telemetry/sink.hpp"
 #include "util/timer.hpp"
@@ -44,13 +45,6 @@ struct Measurement {
   double sec_per_cycle = 0.0;
   double speedup = 1.0;  // vs reference at the same (n, threads)
 };
-
-/// Warm-up: run a few cycles so workspaces, page mappings, and the OpenMP
-/// team exist before anything is timed.
-void warm(MultiplicativeMg& mg, const Vector& b, int cycles) {
-  Vector x(b.size(), 0.0);
-  for (int t = 0; t < cycles; ++t) mg.cycle(b, x);
-}
 
 }  // namespace
 }  // namespace asyncmg
@@ -95,21 +89,23 @@ int main(int argc, char** argv) {
     for (std::int64_t t : threads) {
       if (t > max_threads) continue;
       omp_set_num_threads(static_cast<int>(t));
-      struct Cfg {
-        const char* name;
-        MgSetup* setup;
-        bool fused;
-      };
-      const Cfg cfgs[] = {{"reference", &s_csr, false},
-                          {"fused_csr", &s_csr, true},
-                          {"fused_sell", &s_sell, true}};
+      const char* const names[] = {"reference", "fused_csr", "fused_sell"};
       constexpr int kNumCfgs = 3;
-      std::vector<std::unique_ptr<MultiplicativeMg>> engines;
+      oracle::ReferenceLevels ref_levels;
+      MultiplicativeMg mg_csr(s_csr);
+      MultiplicativeMg mg_sell(s_sell);
+      const auto run_cycle = [&](int i, Vector& x) {
+        if (i == 0) {
+          oracle::reference_cycle(s_csr, b, x, ref_levels);
+        } else {
+          (i == 1 ? mg_csr : mg_sell).cycle(b, x);
+        }
+      };
       double best[kNumCfgs] = {0.0, 0.0, 0.0};
       for (int i = 0; i < kNumCfgs; ++i) {
-        engines.push_back(std::make_unique<MultiplicativeMg>(*cfgs[i].setup));
-        engines.back()->set_fused(cfgs[i].fused);
-        warm(*engines.back(), b, 2);  // warm workspaces + OpenMP team
+        // Warm workspaces, page mappings and the OpenMP team.
+        Vector x(b.size(), 0.0);
+        for (int c = 0; c < 2; ++c) run_cycle(i, x);
       }
       // Paired measurement: within a round every engine advances one cycle
       // in turn, so machine-load drift and cache state hit all three nearly
@@ -123,7 +119,7 @@ int main(int argc, char** argv) {
         for (int c = 0; c < cycles; ++c) {
           for (int i = 0; i < kNumCfgs; ++i) {
             timer.reset();
-            engines[i]->cycle(b, xs[i]);
+            run_cycle(i, xs[i]);
             acc[i] += timer.seconds();
           }
         }
@@ -135,7 +131,7 @@ int main(int argc, char** argv) {
       const double ref_time = best[0];
       for (int i = 0; i < kNumCfgs; ++i) {
         Measurement m;
-        m.config = cfgs[i].name;
+        m.config = names[i];
         m.n = n;
         m.threads = static_cast<int>(t);
         m.sec_per_cycle = best[i];

@@ -3,68 +3,189 @@
 #include <omp.h>
 
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "backend/backend_simd.hpp"
+#include "backend/sell_backend.hpp"
 #include "sparse/parallel.hpp"
-#include "sparse/vec.hpp"
+#include "util/partition.hpp"
 #include "util/thread_context.hpp"
 
 namespace asyncmg {
 
+namespace {
+
 // ---------------------------------------------------------------------------
-// Base-class (scalar oracle) kernel set: delegates verbatim to the existing
-// OpenMP CSR/SELL engine, so backend #1 IS the pre-backend code path.
+// CSR kernels: one static row split, shared by every backend.
 // ---------------------------------------------------------------------------
 
-void KernelBackend::sell_spmv(const SellMatrix& a, const Vector& x, Vector& y,
-                              bool parallel) const {
-  if (parallel) {
-    a.spmv_omp(x, y);
-  } else {
-    a.spmv(x, y);
+/// Runs `body(lo, hi)` over [0, n): one static OpenMP row partition when
+/// `parallel` and solve_omp_eligible(n) allow, else the whole range inline.
+/// Rows write disjoint outputs, so the partition never changes the result.
+/// Each body is a plain call on raw pointers from inside the region, which
+/// keeps the aliasing information the vectorizer needs (an outlined loop
+/// body measures ~30% slower at one thread).
+template <class Body>
+void for_row_split(Index n, bool parallel, const Body& body) {
+  if (!parallel || !solve_omp_eligible(n)) {
+    body(Index{0}, n);
+    return;
+  }
+#pragma omp parallel
+  {
+    const Range rg =
+        static_chunk(static_cast<std::size_t>(n),
+                     static_cast<std::size_t>(omp_get_num_threads()),
+                     static_cast<std::size_t>(omp_get_thread_num()));
+    body(static_cast<Index>(rg.begin), static_cast<Index>(rg.end));
   }
 }
 
-void KernelBackend::sell_residual(const SellMatrix& a, const Vector& b,
-                                  const Vector& x, Vector& r,
-                                  bool parallel) const {
-  if (parallel) {
-    a.residual_omp(b, x, r);
-  } else {
-    a.residual(b, x, r);
+// Row-range bodies of the fused CSR kernels, templated over the stored
+// value type (double/float per the matrix's Precision): values widen to
+// double on load and accumulators stay double.
+
+template <class AV>
+void diag_sweep_rows(const Index* rp, const Index* ci, const AV* av,
+                     const double* dp, const double* bp, const double* xi,
+                     double* xo, Index lo, Index hi) {
+  for (Index i = lo; i < hi; ++i) {
+    double s = bp[i];
+    for (Index k = rp[i]; k < rp[i + 1]; ++k) {
+      s -= av[k] * xi[ci[k]];
+    }
+    xo[i] = xi[i] + dp[i] * s;
   }
 }
 
-void KernelBackend::sell_diag_sweep(const SellMatrix& a, const Vector& d,
-                                    const Vector& b, const Vector& x_in,
-                                    Vector& x_out, bool parallel) const {
-  if (parallel) {
-    a.fused_diag_sweep_omp(d, b, x_in, x_out);
-  } else {
-    a.fused_diag_sweep(d, b, x_in, x_out);
+template <class AV>
+void sub_spmv_rows(const Index* rp, const Index* ci, const AV* av,
+                   const double* ep, const double* rr, double* tp, Index lo,
+                   Index hi) {
+  for (Index i = lo; i < hi; ++i) {
+    double s = 0.0;
+    for (Index k = rp[i]; k < rp[i + 1]; ++k) {
+      s += av[k] * ep[ci[k]];
+    }
+    tp[i] = rr[i] - s;
   }
 }
 
-void KernelBackend::sell_sub_spmv(const SellMatrix& a, const Vector& r,
-                                  const Vector& e, Vector& tmp,
-                                  bool parallel) const {
-  if (parallel) {
-    a.fused_sub_spmv_omp(r, e, tmp);
-  } else {
-    a.fused_sub_spmv(r, e, tmp);
+// ---------------------------------------------------------------------------
+// Scalar SELL chunk loop: the portable counterpart of apply_chunks_avx2 /
+// apply_chunks_avx512, run through the same skeleton (sell_backend.hpp).
+// ---------------------------------------------------------------------------
+
+/// Runs chunks [c0, c1) of `v` against `op`. `VT` is the stored value type;
+/// products widen to double and the per-lane accumulators stay double. Per
+/// lane, entries are visited in CSR order and padding is never read, which
+/// is the whole bitwise argument against CsrMatrix.
+template <class VT, class Op>
+void apply_chunks_scalar(const SellView& v, const VT* va, const double* x,
+                         const Op& op, std::size_t c0, std::size_t c1) {
+  const Index c = v.chunk;
+  const Index* const perm = v.perm;
+  const Index* const slot_len = v.slot_len;
+  double acc[SellMatrix::kMaxChunk];
+  for (std::size_t ch = c0; ch < c1; ++ch) {
+    const std::size_t s0 = ch * static_cast<std::size_t>(c);
+    // Pad slots (perm == -1) trail the final chunk; real slots before them
+    // all get an accumulator, even empty rows (their seed is the result).
+    Index lanes = c;
+    while (lanes > 0 && perm[s0 + static_cast<std::size_t>(lanes) - 1] < 0) {
+      --lanes;
+    }
+    for (Index lane = 0; lane < lanes; ++lane) {
+      acc[lane] = op.init(perm[s0 + static_cast<std::size_t>(lane)]);
+    }
+    const VT* vals = va + v.chunk_ptr[ch];
+    const Index* cols = v.col_idx + v.chunk_ptr[ch];
+    const Index width = v.chunk_width[ch];
+    if (v.ucol_ofs[ch] >= 0) {
+      // Contiguous-column chunk (SellMatrix::contiguous_chunks()): every
+      // lane is full width and the C columns at each j are consecutive, so
+      // x is read unit-stride from one base per column and the col_idx
+      // stream is skipped entirely. Constant trip counts let the compiler
+      // unroll and keep the accumulators in registers. The per-lane
+      // accumulation order is identical to the general path below.
+      const Index* ub = v.ucol_base + v.ucol_ofs[ch];
+      for (Index j = 0; j < width; ++j) {
+        const VT* vj = vals + static_cast<std::size_t>(j) * c;
+        const double* xs = x + static_cast<std::size_t>(ub[j]);
+        for (Index lane = 0; lane < c; ++lane) {
+          const double p = vj[lane] * xs[lane];
+          if constexpr (Op::kSubtract) {
+            acc[lane] -= p;
+          } else {
+            acc[lane] += p;
+          }
+        }
+      }
+    } else if (lanes == c &&
+               slot_len[s0 + static_cast<std::size_t>(c) - 1] == width) {
+      // Uniform chunk (every lane holds `width` entries — the common case
+      // after the sigma sort): constant-trip lane loop with no prefix
+      // tracking. Identical per-lane accumulation order to the general path.
+      for (Index j = 0; j < width; ++j) {
+        const VT* vj = vals + static_cast<std::size_t>(j) * c;
+        const Index* cc = cols + static_cast<std::size_t>(j) * c;
+        for (Index lane = 0; lane < c; ++lane) {
+          const double p = vj[lane] * x[static_cast<std::size_t>(cc[lane])];
+          if constexpr (Op::kSubtract) {
+            acc[lane] -= p;
+          } else {
+            acc[lane] += p;
+          }
+        }
+      }
+    } else {
+      Index active = lanes;
+      for (Index j = 0; j < width; ++j) {
+        // Slot lengths are descending within the chunk, so the lanes still
+        // holding entries at column j form a prefix; padding is never read.
+        while (active > 0 &&
+               slot_len[s0 + static_cast<std::size_t>(active) - 1] <= j) {
+          --active;
+        }
+        const VT* vj = vals + static_cast<std::size_t>(j) * c;
+        const Index* cc = cols + static_cast<std::size_t>(j) * c;
+        for (Index lane = 0; lane < active; ++lane) {
+          const double p = vj[lane] * x[static_cast<std::size_t>(cc[lane])];
+          if constexpr (Op::kSubtract) {
+            acc[lane] -= p;
+          } else {
+            acc[lane] += p;
+          }
+        }
+      }
+    }
+    for (Index lane = 0; lane < lanes; ++lane) {
+      op.store(perm[s0 + static_cast<std::size_t>(lane)], acc[lane]);
+    }
   }
 }
+
+struct ScalarApply {
+  template <class VT, class Op>
+  void operator()(const SellView& v, const VT* va, const double* x,
+                  const Op& op, std::size_t c0, std::size_t c1) const {
+    apply_chunks_scalar(v, va, x, op, c0, c1);
+  }
+};
+
+using ScalarBackend = detail::SellBackend<BackendKind::kScalar, ScalarApply>;
+
+}  // namespace
 
 void KernelBackend::csr_spmv(const CsrMatrix& a, const Vector& x, Vector& y,
                              bool parallel) const {
-  if (parallel) {
-    a.spmv_omp(x, y);
-  } else {
-    a.spmv(x, y);
-  }
+  assert(static_cast<Index>(x.size()) == a.cols());
+  y.resize(static_cast<std::size_t>(a.rows()));
+  for_row_split(a.rows(), parallel,
+                [&](Index lo, Index hi) { a.spmv_rows(x, y, lo, hi); });
 }
 
 void KernelBackend::csr_spmv_rows(const CsrMatrix& a, const Vector& x,
@@ -75,11 +196,9 @@ void KernelBackend::csr_spmv_rows(const CsrMatrix& a, const Vector& x,
 void KernelBackend::csr_spmv_add(const CsrMatrix& a, const Vector& x,
                                  Vector& y, double alpha,
                                  bool parallel) const {
-  if (parallel) {
-    a.spmv_add_omp(x, y, alpha);
-  } else {
-    a.spmv_add(x, y, alpha);
-  }
+  for_row_split(a.rows(), parallel, [&](Index lo, Index hi) {
+    a.spmv_add_rows(x, y, alpha, lo, hi);
+  });
 }
 
 void KernelBackend::csr_spmv_transpose(const CsrMatrix& a, const Vector& x,
@@ -90,11 +209,9 @@ void KernelBackend::csr_spmv_transpose(const CsrMatrix& a, const Vector& x,
 void KernelBackend::csr_residual(const CsrMatrix& a, const Vector& b,
                                  const Vector& x, Vector& r,
                                  bool parallel) const {
-  if (parallel) {
-    a.residual_omp(b, x, r);
-  } else {
-    a.residual(b, x, r);
-  }
+  r.resize(static_cast<std::size_t>(a.rows()));
+  for_row_split(a.rows(), parallel,
+                [&](Index lo, Index hi) { a.residual_rows(b, x, r, lo, hi); });
 }
 
 void KernelBackend::csr_residual_rows(const CsrMatrix& a, const Vector& b,
@@ -106,28 +223,48 @@ void KernelBackend::csr_residual_rows(const CsrMatrix& a, const Vector& b,
 void KernelBackend::csr_diag_sweep(const CsrMatrix& a, const Vector& d,
                                    const Vector& b, const Vector& x_in,
                                    Vector& x_out, bool parallel) const {
-  if (parallel) {
-    fused_diag_sweep_omp(a, d, b, x_in, x_out);
-  } else {
-    fused_diag_sweep(a, d, b, x_in, x_out);
-  }
+  assert(a.rows() == a.cols() && static_cast<Index>(d.size()) == a.rows() &&
+         static_cast<Index>(b.size()) == a.rows() &&
+         static_cast<Index>(x_in.size()) == a.rows() && &x_in != &x_out);
+  x_out.resize(static_cast<std::size_t>(a.rows()));
+  const Index* const rp = a.row_ptr().data();
+  const Index* const ci = a.col_idx().data();
+  const double* const dp = d.data();
+  const double* const bp = b.data();
+  const double* const xi = x_in.data();
+  double* const xo = x_out.data();
+  a.with_values([&](const auto* av) {
+    for_row_split(a.rows(), parallel, [&](Index lo, Index hi) {
+      diag_sweep_rows(rp, ci, av, dp, bp, xi, xo, lo, hi);
+    });
+  });
 }
 
 void KernelBackend::csr_sub_spmv(const CsrMatrix& a, const Vector& r,
                                  const Vector& e, Vector& tmp,
                                  bool parallel) const {
-  if (parallel) {
-    fused_sub_spmv_omp(a, r, e, tmp);
-  } else {
-    fused_sub_spmv(a, r, e, tmp);
-  }
+  assert(static_cast<Index>(r.size()) == a.rows() &&
+         static_cast<Index>(e.size()) == a.cols());
+  tmp.resize(static_cast<std::size_t>(a.rows()));
+  const Index* const rp = a.row_ptr().data();
+  const Index* const ci = a.col_idx().data();
+  const double* const ep = e.data();
+  const double* const rr = r.data();
+  double* const tp = tmp.data();
+  a.with_values([&](const auto* av) {
+    for_row_split(a.rows(), parallel, [&](Index lo, Index hi) {
+      sub_spmv_rows(rp, ci, av, ep, rr, tp, lo, hi);
+    });
+  });
 }
 
-double KernelBackend::csr_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                                           const Vector& x, Vector& r,
-                                           bool parallel) const {
-  return parallel ? fused_residual_norm_sq_omp(a, b, x, r)
-                  : fused_residual_norm_sq(a, b, x, r);
+double KernelBackend::csr_residual_norm_sq(const CsrMatrix& a,
+                                           const Vector& b, const Vector& x,
+                                           Vector& r, bool parallel) const {
+  csr_residual(a, b, x, r, parallel);
+  double sumsq = 0.0;
+  for (const double v : r) sumsq += v * v;
+  return sumsq;
 }
 
 void KernelBackend::restrict_apply(const CsrMatrix& rt, const Vector& x,
@@ -140,18 +277,9 @@ void KernelBackend::prolong_add(const CsrMatrix& p, const Vector& e_c,
   csr_spmv_add(p, e_c, e, 1.0, parallel);
 }
 
-double KernelBackend::dot(const Vector& x, const Vector& y) const {
-  return asyncmg::dot(x, y);
-}
-
-void KernelBackend::axpy(double alpha, const Vector& x, Vector& y) const {
-  asyncmg::axpy(alpha, x, y);
-}
-
-void KernelBackend::prepare_workspace(Vector& v, std::size_t n,
-                                      bool first_touch) const {
+void KernelBackend::prepare_workspace(Vector& v, std::size_t n) const {
   v.resize(n);
-  if (!first_touch || this_thread_is_pool_worker() ||
+  if (this_thread_is_pool_worker() ||
       static_cast<Index>(n) < kSetupSerialCutoff) {
     return;
   }
@@ -184,11 +312,6 @@ bool cpu_supports_avx512f() {
 }  // namespace detail
 
 namespace {
-
-class ScalarBackend final : public KernelBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kScalar; }
-};
 
 const KernelBackend* simd_backend(BackendKind k) {
   switch (k) {

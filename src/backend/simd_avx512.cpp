@@ -18,11 +18,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 
-#include "backend/backend.hpp"
-#include "backend/sell_simd.hpp"
+#include "backend/sell_backend.hpp"
 
 namespace asyncmg {
 namespace detail {
@@ -167,55 +165,10 @@ struct Avx512Apply {
   }
 };
 
-class Avx512Backend final : public KernelBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kAvx512; }
-
-  void sell_spmv(const SellMatrix& a, const Vector& x, Vector& y,
-                 bool parallel) const override {
-    assert(static_cast<Index>(x.size()) == a.cols());
-    y.resize(static_cast<std::size_t>(a.rows()));
-    run_sell_simd(a.view(), x.data(), sellops::SpmvOp{y.data()}, parallel,
-                  Avx512Apply{});
-  }
-
-  void sell_residual(const SellMatrix& a, const Vector& b, const Vector& x,
-                     Vector& r, bool parallel) const override {
-    assert(static_cast<Index>(b.size()) == a.rows() &&
-           static_cast<Index>(x.size()) == a.cols());
-    r.resize(static_cast<std::size_t>(a.rows()));
-    run_sell_simd(a.view(), x.data(), sellops::ResidualOp{b.data(), r.data()},
-                  parallel, Avx512Apply{});
-  }
-
-  void sell_diag_sweep(const SellMatrix& a, const Vector& d, const Vector& b,
-                       const Vector& x_in, Vector& x_out,
-                       bool parallel) const override {
-    assert(a.rows() == a.cols() && static_cast<Index>(d.size()) == a.rows() &&
-           static_cast<Index>(b.size()) == a.rows() &&
-           static_cast<Index>(x_in.size()) == a.rows() && &x_in != &x_out);
-    x_out.resize(static_cast<std::size_t>(a.rows()));
-    run_sell_simd(
-        a.view(), x_in.data(),
-        sellops::DiagSweepOp{b.data(), d.data(), x_in.data(), x_out.data()},
-        parallel, Avx512Apply{});
-  }
-
-  void sell_sub_spmv(const SellMatrix& a, const Vector& r, const Vector& e,
-                     Vector& tmp, bool parallel) const override {
-    assert(static_cast<Index>(r.size()) == a.rows() &&
-           static_cast<Index>(e.size()) == a.cols());
-    tmp.resize(static_cast<std::size_t>(a.rows()));
-    run_sell_simd(a.view(), e.data(),
-                  sellops::SubSpmvOp{r.data(), tmp.data()}, parallel,
-                  Avx512Apply{});
-  }
-};
-
 }  // namespace
 
 const KernelBackend* avx512_backend() {
-  static const Avx512Backend be;
+  static const SellBackend<BackendKind::kAvx512, Avx512Apply> be;
   return &be;
 }
 

@@ -190,7 +190,7 @@ void AdditiveMg::cycle(const Vector& b, Vector& x) {
   be.csr_residual(s.a(0), b, x, r_, /*parallel=*/true);
   for (std::size_t k = 0; k < corrector_.num_grids(); ++k) {
     corrector_.correction(k, r_, c_, ws_);
-    be.axpy(1.0, c_, x);
+    axpy(1.0, c_, x);
   }
 }
 

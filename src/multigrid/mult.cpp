@@ -17,9 +17,8 @@ MultiplicativeMg::MultiplicativeMg(const MgSetup& setup, bool symmetric,
       pre_sweeps_(pre_sweeps),
       post_sweeps_(post_sweeps),
       gamma_(gamma),
-      fused_(setup.options().engine.fused),
       active_(setup.num_levels()),
-      ws_(setup, setup.options().engine.first_touch) {
+      ws_(setup) {
   if (pre_sweeps < 0 || post_sweeps < 0 || pre_sweeps + post_sweeps == 0) {
     throw std::invalid_argument(
         "MultiplicativeMg: need nonnegative sweep counts, at least one");
@@ -135,10 +134,6 @@ void MultiplicativeMg::level_solve(std::size_t k) {
     pe(CyclePhase::kCoarseSolve, k);
     return;
   }
-  if (!fused_) {
-    level_solve_reference(k);
-    return;
-  }
 
   Vector& r = ws_.r(k);
   Vector& e = ws_.e(k);
@@ -169,48 +164,6 @@ void MultiplicativeMg::level_solve(std::size_t k) {
   pe(CyclePhase::kPostSmooth, k);
 }
 
-void MultiplicativeMg::level_solve_reference(std::size_t k) {
-  // The original two-pass path: separate spmv/subtract/restrict and
-  // allocating smoother sweeps. Kept verbatim as the bitwise oracle for the
-  // fused path and as the bench baseline (set_fused(false)).
-  Vector& r = ws_.r(k);
-  Vector& e = ws_.e(k);
-  Vector& tmp = ws_.tmp(k);
-
-  pb(CyclePhase::kPreSmooth, k);
-  if (pre_sweeps_ == 0) {
-    fill(e, 0.0);
-  } else {
-    s_->smoother(k).smooth_zero(r, e, pre_sweeps_);
-  }
-  pe(CyclePhase::kPreSmooth, k);
-
-  for (int g = 0; g < gamma_; ++g) {
-    pb(CyclePhase::kRestrict, k);
-    s_->a(k).spmv(e, tmp);  // tmp = A_k e_k
-    for (std::size_t i = 0; i < tmp.size(); ++i) {
-      tmp[i] = r[i] - tmp[i];
-    }
-    s_->p(k).spmv_transpose(tmp, ws_.r(k + 1));  // r_{k+1} = P^T (r_k - A e_k)
-    pe(CyclePhase::kRestrict, k);
-    level_solve(k + 1);
-    pb(CyclePhase::kProlong, k);
-    s_->p(k).spmv(ws_.e(k + 1), tmp);
-    axpy(1.0, tmp, e);  // e_k += P e_{k+1}
-    pe(CyclePhase::kProlong, k);
-  }
-
-  pb(CyclePhase::kPostSmooth, k);
-  for (int s = 0; s < post_sweeps_; ++s) {
-    if (symmetric_) {
-      s_->smoother(k).sweep_transpose(r, e);
-    } else {
-      s_->smoother(k).sweep(r, e);  // e_k += M^{-1}(r_k - A e_k)
-    }
-  }
-  pe(CyclePhase::kPostSmooth, k);
-}
-
 void MultiplicativeMg::cycle(const Vector& b, Vector& x) {
   if (tel_ != nullptr && !tel_->enabled()) {
     // Drop to the zero-overhead path for the whole cycle.
@@ -221,18 +174,14 @@ void MultiplicativeMg::cycle(const Vector& b, Vector& x) {
     return;
   }
   pb(CyclePhase::kResidual, 0);
-  if (fused_) {
-    if (s_->sell(0) != nullptr) {
-      be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
-    } else {
-      be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
-    }
+  if (s_->sell(0) != nullptr) {
+    be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
   } else {
-    s_->a(0).residual(b, x, ws_.r(0));
+    be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
   }
   pe(CyclePhase::kResidual, 0);
   level_solve(0);
-  be_->axpy(1.0, ws_.e(0), x);
+  axpy(1.0, ws_.e(0), x);
 }
 
 SolveStats MultiplicativeMg::solve(const Vector& b, Vector& x, int t_max,
@@ -245,13 +194,9 @@ SolveStats MultiplicativeMg::solve(const Vector& b, Vector& x, int t_max,
   // convergence check a single pass over A_0.
   Vector& r = ws_.tmp(0);
   const auto rel_res = [&]() {
-    if (fused_) {
-      return std::sqrt(be_->csr_residual_norm_sq(s_->a(0), b, x, r,
-                                                 /*parallel=*/true)) *
-             scale;
-    }
-    s_->a(0).residual(b, x, r);
-    return norm2(r) * scale;
+    return std::sqrt(be_->csr_residual_norm_sq(s_->a(0), b, x, r,
+                                               /*parallel=*/true)) *
+           scale;
   };
   stats.rel_res_history.push_back(rel_res());
   for (int t = 0; t < t_max; ++t) {

@@ -40,13 +40,6 @@ class MultiplicativeMg {
   /// object's cycle() calls.
   void set_telemetry(TelemetrySink* sink, std::size_t tid = 0);
 
-  /// Toggle the fused kernel engine for this instance (initialized from the
-  /// setup's engine options). `false` restores the original two-pass,
-  /// allocating reference path — the bench baseline and the bitwise oracle
-  /// of the property tests.
-  void set_fused(bool fused) { fused_ = fused; }
-  bool fused() const { return fused_; }
-
   /// Truncate the cycle at the first `n` levels (1 <= n <= num_levels):
   /// level n-1 acts as a temporary coarsest, solved with its smoother's
   /// zero-guess apply (the dense LU only ever belongs to the true coarsest
@@ -62,14 +55,11 @@ class MultiplicativeMg {
   /// Recursive multigrid on the error equation A_k e_k = r_k; reads
   /// ws_.r(k), leaves the correction in ws_.e(k).
   void level_solve(std::size_t k);
-  /// Reference (unfused, allocating smoother calls) body of level_solve.
-  void level_solve_reference(std::size_t k);
   /// One post-smoothing-style sweep on A_k x = b through the fastest
   /// bit-identical kernel for the level: SELL fused sweep, CSR fused sweep,
   /// or the smoother's workspace sweep for non-diagonal types.
   void sweep_level(std::size_t k, const Vector& b, Vector& x);
-  /// gamma coarse-grid corrections of the fused path (restrict, recurse,
-  /// prolong-add).
+  /// gamma coarse-grid corrections (restrict, recurse, prolong-add).
   void coarse_corrections(std::size_t k);
 
   // Out-of-line so mult.hpp doesn't drag in the sink; the inline wrappers
@@ -96,10 +86,9 @@ class MultiplicativeMg {
   int pre_sweeps_;
   int post_sweeps_;
   int gamma_ = 1;
-  bool fused_;
   std::size_t active_;  // cycle depth; num_levels unless truncated
   // Per-level scratch arena reused across cycles (no allocations inside a
-  // cycle, even on the reference path's vectors).
+  // cycle).
   CycleWorkspace ws_;
 };
 

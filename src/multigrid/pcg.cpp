@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "backend/backend.hpp"
 #include "sparse/vec.hpp"
 #include "util/timer.hpp"
 
@@ -35,7 +36,10 @@ SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
   const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
 
   Vector& r = ws.r;
-  a.residual_omp(b, x, r);
+  // The CSR kernels are the same code in every backend; the scalar one
+  // needs no setup.
+  const KernelBackend& be = scalar_backend();
+  be.csr_residual(a, b, x, r, /*parallel=*/true);
   stats.rel_res_history.push_back(norm2(r) * scale);
 
   Vector& z = ws.z;
@@ -52,7 +56,7 @@ SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
   double rz = dot(r, z);
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    a.spmv_omp(p, ap);
+    be.csr_spmv(a, p, ap, /*parallel=*/true);
     const double pap = dot(p, ap);
     if (pap <= 0.0) {
       // Loss of positive definiteness (numerically), stop with what we have.

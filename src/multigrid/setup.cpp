@@ -37,8 +37,8 @@ void MgSetup::init() {
   for (std::size_t k = 0; k < nl; ++k) {
     if (level_prefers_sell(opts_.engine, h_.matrix(k).rows(), diag_smoother,
                            k + 1 == nl)) {
-      sell_[k] = std::make_unique<SellMatrix>(SellMatrix::from_csr(
-          h_.matrix(k), opts_.engine.sell_chunk, opts_.engine.sell_sigma));
+      sell_[k] = std::make_unique<SellMatrix>(
+          SellMatrix::from_csr(h_.matrix(k), kSellChunk, kSellSigma));
     }
   }
 

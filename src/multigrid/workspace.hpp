@@ -19,15 +19,15 @@ class MgSetup;
 
 class CycleWorkspace {
  public:
-  /// Sizes one r/e/tmp/swp quartet per hierarchy level. With `first_touch`
-  /// the buffers are re-written by a parallel OpenMP loop after allocation;
-  /// on first-touch NUMA policies this distributes pages across the team
-  /// that will run the parallel kernels. (An approximation: std::vector's
-  /// value-initialization already touched the pages once, serially, so this
-  /// only helps when the OS migrates on re-touch or the vectors were
-  /// reserve()-grown; the zero-allocation and fusion wins do not depend on
-  /// it.) Pool workers skip the parallel re-touch, like every solve kernel.
-  explicit CycleWorkspace(const MgSetup& setup, bool first_touch = true);
+  /// Sizes one r/e/tmp/swp quartet per hierarchy level. The buffers are
+  /// then re-written by a parallel OpenMP loop; on first-touch NUMA policies
+  /// this distributes pages across the team that will run the parallel
+  /// kernels. (An approximation: std::vector's value-initialization already
+  /// touched the pages once, serially, so this only helps when the OS
+  /// migrates on re-touch or the vectors were reserve()-grown; the
+  /// zero-allocation and fusion wins do not depend on it.) Pool workers skip
+  /// the parallel re-touch, like every solve kernel.
+  explicit CycleWorkspace(const MgSetup& setup);
 
   std::size_t num_levels() const { return r_.size(); }
 

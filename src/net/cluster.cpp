@@ -398,37 +398,6 @@ void ClusterCoordinator::shutdown_workers() const {
 // ClusterRouter
 // ---------------------------------------------------------------------------
 
-std::vector<std::size_t> select_backends(const std::vector<RingNode>& ring,
-                                         std::uint64_t key,
-                                         std::size_t count) {
-  std::vector<std::size_t> out;
-  if (ring.empty() || count == 0) {
-    throw std::invalid_argument("select_backends: empty ring or zero count");
-  }
-  // First vnode clockwise from key, then keep walking collecting distinct
-  // backends (wrapping once).
-  std::size_t start = ring.size();
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    if (ring[i].hash >= key) {
-      start = i;
-      break;
-    }
-  }
-  if (start == ring.size()) start = 0;  // wrapped
-  for (std::size_t step = 0; step < ring.size() && out.size() < count;
-       ++step) {
-    const std::size_t backend = ring[(start + step) % ring.size()].backend;
-    if (std::find(out.begin(), out.end(), backend) == out.end()) {
-      out.push_back(backend);
-    }
-  }
-  if (out.size() < count) {
-    throw std::invalid_argument(
-        "select_backends: ring has fewer distinct backends than requested");
-  }
-  return out;
-}
-
 void ClusterRouterOptions::validate() const {
   if (endpoints.empty()) {
     throw std::invalid_argument(

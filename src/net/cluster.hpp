@@ -125,14 +125,6 @@ class ClusterCoordinator {
   ClusterOptions opts_;
 };
 
-/// Walks the ring clockwise from `key` collecting the first `count`
-/// DISTINCT backends (the placement primitive of ClusterRouter, a free
-/// function so tests cover it without sockets). Throws std::invalid_argument
-/// when fewer distinct backends exist than requested.
-std::vector<std::size_t> select_backends(const std::vector<RingNode>& ring,
-                                         std::uint64_t key,
-                                         std::size_t count);
-
 struct ClusterRouterOptions {
   /// The worker fleet (superset of any one solve's participants).
   std::vector<Endpoint> endpoints;

@@ -32,13 +32,35 @@ std::vector<RingNode> build_hash_ring(std::size_t num_backends,
   return ring;
 }
 
-std::size_t ring_lookup(const std::vector<RingNode>& ring, std::uint64_t key) {
-  if (ring.empty()) throw std::invalid_argument("ring_lookup: empty ring");
-  auto it = std::lower_bound(
+std::vector<std::size_t> select_backends(const std::vector<RingNode>& ring,
+                                         std::uint64_t key,
+                                         std::size_t count) {
+  if (ring.empty() || count == 0) {
+    throw std::invalid_argument("select_backends: empty ring or zero count");
+  }
+  // First vnode clockwise from key, then keep walking collecting distinct
+  // backends (wrapping once).
+  const auto first = std::lower_bound(
       ring.begin(), ring.end(), key,
       [](const RingNode& node, std::uint64_t k) { return node.hash < k; });
-  if (it == ring.end()) it = ring.begin();  // wrap
-  return it->backend;
+  const auto start = static_cast<std::size_t>(first - ring.begin());
+  std::vector<std::size_t> out;
+  for (std::size_t step = 0; step < ring.size() && out.size() < count;
+       ++step) {
+    const std::size_t backend = ring[(start + step) % ring.size()].backend;
+    if (std::find(out.begin(), out.end(), backend) == out.end()) {
+      out.push_back(backend);
+    }
+  }
+  if (out.size() < count) {
+    throw std::invalid_argument(
+        "select_backends: ring has fewer distinct backends than requested");
+  }
+  return out;
+}
+
+std::size_t ring_lookup(const std::vector<RingNode>& ring, std::uint64_t key) {
+  return select_backends(ring, key, 1).front();
 }
 
 std::uint64_t ring_key(const MatrixFingerprint& fp) {
@@ -86,15 +108,14 @@ std::size_t ShardRouter::backend_of(const CsrMatrix& a) const {
 
 std::future<SolveResponse> ShardRouter::submit(CsrMatrix a, Vector b,
                                                RequestOptions ropts) {
-  const std::uint64_t key = ring_key(matrix_fingerprint(a));
-  const std::size_t home = ring_lookup(ring_, key);
   // Failover walk: home first, then the remaining backends in ring order.
   // By-value parameters consume the arguments even when submit throws, so
   // every attempt but the last gets a copy and the originals stay usable.
-  std::size_t tried = 0;
-  std::size_t backend = home;
-  while (true) {
-    const bool last = tried + 1 >= backends_.size();
+  const std::vector<std::size_t> order = select_backends(
+      ring_, ring_key(matrix_fingerprint(a)), backends_.size());
+  for (std::size_t i = 0;; ++i) {
+    const std::size_t backend = order[i];
+    const bool last = i + 1 == order.size();
     try {
       auto fut = last
                      ? backends_[backend]->submit(std::move(a), std::move(b),
@@ -103,11 +124,10 @@ std::future<SolveResponse> ShardRouter::submit(CsrMatrix a, Vector b,
       const std::lock_guard<std::mutex> g(mu_);
       ++routed_;
       ++routed_per_backend_[backend];
-      if (backend != home) ++failovers_;
+      if (i != 0) ++failovers_;
       return fut;
     } catch (const ServiceOverloaded&) {
-      if (++tried >= backends_.size()) throw;
-      backend = (backend + 1) % backends_.size();
+      if (last) throw;
     }
   }
 }

@@ -39,7 +39,16 @@ std::vector<RingNode> build_hash_ring(std::size_t num_backends,
                                       std::size_t vnodes_per_backend,
                                       std::uint64_t seed = 0);
 
-/// First vnode clockwise from `key` (wrapping); the owning backend id.
+/// Walks the ring clockwise from `key` (the first vnode whose hash is >=
+/// key, wrapping) collecting the first `count` DISTINCT backends, in ring
+/// order: the placement primitive of ShardRouter's failover walk and of
+/// ClusterRouter's shard selection. Throws std::invalid_argument on an empty
+/// ring, a zero count, or fewer distinct backends than requested.
+std::vector<std::size_t> select_backends(const std::vector<RingNode>& ring,
+                                         std::uint64_t key,
+                                         std::size_t count);
+
+/// The backend owning `key`: select_backends(ring, key, 1)[0].
 std::size_t ring_lookup(const std::vector<RingNode>& ring, std::uint64_t key);
 
 /// Ring key of a matrix fingerprint (rehash of the content hash + shape so
@@ -69,8 +78,9 @@ class ShardRouter {
   std::size_t backend_of(const CsrMatrix& a) const;
 
   /// Routes to backend_of(a); on ServiceOverloaded walks clockwise to the
-  /// next distinct backend, failing only when every backend sheds the
-  /// request (the last ServiceOverloaded propagates).
+  /// next distinct backend on the ring (select_backends order), failing only
+  /// when every backend sheds the request (the last ServiceOverloaded
+  /// propagates).
   std::future<SolveResponse> submit(CsrMatrix a, Vector b,
                                     RequestOptions ropts = {});
 

@@ -1,7 +1,5 @@
 #include "sparse/csr.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -11,38 +9,15 @@
 #include <type_traits>
 
 #include "sparse/parallel.hpp"
-#include "util/thread_context.hpp"
 
 namespace asyncmg {
 
 namespace {
 
-/// Solve-phase OpenMP kernels only fan out on client threads over matrices
-/// large enough to amortize a team start; SolverPool workers are one
-/// execution lane each (see util/thread_context.hpp). A one-thread team is
-/// pure overhead, so single-thread runs take the serial body directly
-/// (bit-identical either way: rows write disjoint outputs).
-bool use_solve_omp(Index rows) {
-  return rows >= kSetupSerialCutoff && omp_get_max_threads() > 1 &&
-         !this_thread_is_pool_worker();
-}
-
-/// Static partition matching `omp parallel for schedule(static)`.
-struct RowRange {
-  Index lo, hi;
-};
-RowRange static_rows(Index n, int nt, int t) {
-  const Index chunk = (n + nt - 1) / nt;
-  const Index lo = std::min<Index>(n, chunk * t);
-  return {lo, std::min<Index>(n, lo + chunk)};
-}
-
-// Raw-pointer row-range bodies shared by the serial and OpenMP entry points.
-// Calling one plain function from inside the parallel region (instead of
-// letting the compiler outline the loop body) keeps the aliasing information
-// the vectorizer needs; the outlined form measures ~30% slower at one
-// thread. Rows write disjoint outputs, so the partition cannot affect the
-// result.
+// Raw-pointer row-range bodies behind the whole-matrix and *_rows kernels.
+// The kernel backend calls the *_rows forms from inside its OpenMP region,
+// so each body stays one plain function over raw pointers (an outlined loop
+// body loses the aliasing information the vectorizer needs).
 //
 // Bodies are templated over the stored value type (double or float, per the
 // matrix's Precision): values widen to double on load and every accumulator
@@ -249,84 +224,24 @@ void CsrMatrix::spmv_rows(const Vector& x, Vector& y, Index row_begin,
   });
 }
 
-void CsrMatrix::spmv_omp(const Vector& x, Vector& y) const {
-  assert(static_cast<Index>(x.size()) == cols_);
-  y.resize(static_cast<std::size_t>(rows_));
-  const Index* const rp = row_ptr_.data();
-  const Index* const ci = col_idx_.data();
-  const double* const xp = x.data();
-  double* const yp = y.data();
-  with_values([&](const auto* av) {
-    if (!use_solve_omp(rows_)) {
-      spmv_body(rp, ci, av, xp, yp, 0, rows_);
-      return;
-    }
-#pragma omp parallel
-    {
-      const RowRange rg =
-          static_rows(rows_, omp_get_num_threads(), omp_get_thread_num());
-      spmv_body(rp, ci, av, xp, yp, rg.lo, rg.hi);
-    }
-  });
+void CsrMatrix::spmv_add(const Vector& x, Vector& y, double alpha) const {
+  spmv_add_rows(x, y, alpha, 0, rows_);
 }
 
-void CsrMatrix::spmv_add(const Vector& x, Vector& y, double alpha) const {
+void CsrMatrix::spmv_add_rows(const Vector& x, Vector& y, double alpha,
+                              Index row_begin, Index row_end) const {
   assert(static_cast<Index>(x.size()) == cols_ &&
          static_cast<Index>(y.size()) == rows_);
+  assert(row_begin >= 0 && row_end <= rows_);
   with_values([&](const auto* av) {
     spmv_add_body(row_ptr_.data(), col_idx_.data(), av, x.data(), y.data(),
-                  alpha, 0, rows_);
-  });
-}
-
-void CsrMatrix::spmv_add_omp(const Vector& x, Vector& y, double alpha) const {
-  assert(static_cast<Index>(x.size()) == cols_ &&
-         static_cast<Index>(y.size()) == rows_);
-  const Index* const rp = row_ptr_.data();
-  const Index* const ci = col_idx_.data();
-  const double* const xp = x.data();
-  double* const yp = y.data();
-  with_values([&](const auto* av) {
-    if (!use_solve_omp(rows_)) {
-      spmv_add_body(rp, ci, av, xp, yp, alpha, 0, rows_);
-      return;
-    }
-#pragma omp parallel
-    {
-      const RowRange rg =
-          static_rows(rows_, omp_get_num_threads(), omp_get_thread_num());
-      spmv_add_body(rp, ci, av, xp, yp, alpha, rg.lo, rg.hi);
-    }
+                  alpha, row_begin, row_end);
   });
 }
 
 void CsrMatrix::residual(const Vector& b, const Vector& x, Vector& r) const {
   r.resize(static_cast<std::size_t>(rows_));
   residual_rows(b, x, r, 0, rows_);
-}
-
-void CsrMatrix::residual_omp(const Vector& b, const Vector& x,
-                             Vector& r) const {
-  assert(static_cast<Index>(b.size()) == rows_ &&
-         static_cast<Index>(x.size()) == cols_);
-  r.resize(static_cast<std::size_t>(rows_));
-  const Index* const rp = row_ptr_.data();
-  const Index* const ci = col_idx_.data();
-  const double* const bp = b.data();
-  const double* const xp = x.data();
-  double* const rr = r.data();
-  with_values([&](const auto* av) {
-    if (!use_solve_omp(rows_)) {
-      residual_body(rp, ci, av, bp, xp, rr, 0, rows_);
-      return;
-    }
-#pragma omp parallel
-    {
-      const RowRange rg =
-          static_rows(rows_, omp_get_num_threads(), omp_get_thread_num());
-      residual_body(rp, ci, av, bp, xp, rr, rg.lo, rg.hi);
-    }
-  });
 }
 
 void CsrMatrix::residual_rows(const Vector& b, const Vector& x, Vector& r,

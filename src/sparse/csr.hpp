@@ -3,9 +3,10 @@
 //
 // This is the workhorse data structure of the library: every operator in the
 // multigrid hierarchy (A_k, P_{k+1}^k, smoothed interpolants Pbar, Galerkin
-// products) is a CsrMatrix. Kernels come in whole-matrix and row-range forms;
-// the range forms are what the per-grid thread teams of the asynchronous
-// runtime execute (Section IV of the paper).
+// products) is a CsrMatrix. Its kernels are serial and come in whole-matrix
+// and row-range forms; the range forms are what the per-grid thread teams of
+// the asynchronous runtime execute (Section IV of the paper), and what the
+// kernel backend (backend/backend.hpp) splits across an OpenMP team.
 
 #include <cassert>
 #include <cstddef>
@@ -120,22 +121,15 @@ class CsrMatrix {
   void spmv_rows(const Vector& x, Vector& y, Index row_begin,
                  Index row_end) const;
 
-  /// y = A x with an OpenMP parallel loop (static schedule). Falls back to
-  /// the serial body on SolverPool workers and small matrices; results are
-  /// identical to spmv either way.
-  void spmv_omp(const Vector& x, Vector& y) const;
-
   /// y += alpha * A x.
   void spmv_add(const Vector& x, Vector& y, double alpha = 1.0) const;
 
-  /// OpenMP variant of spmv_add (same pool-worker fallback as spmv_omp).
-  void spmv_add_omp(const Vector& x, Vector& y, double alpha = 1.0) const;
+  /// y += alpha * A x restricted to rows [row_begin, row_end).
+  void spmv_add_rows(const Vector& x, Vector& y, double alpha,
+                     Index row_begin, Index row_end) const;
 
   /// r = b - A x.
   void residual(const Vector& b, const Vector& x, Vector& r) const;
-
-  /// OpenMP variant of residual (same pool-worker fallback as spmv_omp).
-  void residual_omp(const Vector& b, const Vector& x, Vector& r) const;
 
   /// r = b - A x restricted to rows [row_begin, row_end).
   void residual_rows(const Vector& b, const Vector& x, Vector& r,

@@ -1,27 +1,9 @@
 #pragma once
-// Solve-phase kernel engine: fused CSR kernels, the per-level format
-// selection heuristic, and the engine configuration shared by the multigrid
-// cycles, smoothers, and the async runtime drivers (DESIGN.md section 10).
-//
-// Fusion identities (each fused kernel is bit-identical to the two-pass
-// reference it replaces because it performs the same floating-point
-// operations in the same order):
-//
-//   fused_diag_sweep :  x_out = x_in + d .* (b - A x_in)
-//       == residual(b, x_in, r); x_out[i] = x_in[i] + d[i] * r[i]
-//       (residual accumulation order: s = b_i, then s -= a_ij x_j)
-//
-//   fused_sub_spmv   :  tmp = r - A e
-//       == spmv(e, tmp); tmp[i] = r[i] - tmp[i]
-//       (spmv accumulation order: s = 0, then s += a_ij e_j)
-//
-//   fused_residual_norm_sq :  r = b - A x, returns sum_i r_i^2
-//       == residual(b, x, r); dot(r, r)
-//       (the sum-of-squares accumulates serially left to right, exactly
-//       like dot(), regardless of how many threads computed r)
-//
-// The two accumulation orders are not interchangeable bitwise; every caller
-// must pick the one its reference path uses.
+// Solve-phase kernel engine configuration shared by the multigrid cycles,
+// smoothers, and the async runtime drivers (DESIGN.md section 10): the
+// backend selector, the engine options, the per-level format heuristic, the
+// bytes-per-pass traffic model, and the OpenMP eligibility gate. The kernels
+// themselves live in the kernel backends (backend/backend.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +15,7 @@
 namespace asyncmg {
 
 /// Which kernel backend (src/backend) executes the solve-phase kernel set.
-/// kScalar is the portable OpenMP CSR/SELL engine and the bitwise oracle;
+/// kScalar is the portable OpenMP CSR/SELL engine and the SIMD oracle;
 /// the SIMD kinds hand-vectorize the SELL-C-sigma kernels across chunk
 /// lanes (one row per lane, so per-row accumulation order — and therefore
 /// every bit of the result — matches the oracle). kAuto resolves at runtime
@@ -50,10 +32,19 @@ enum class BackendKind : std::uint8_t {
 /// accepted ASYNCMG_BACKEND values.
 const char* backend_kind_name(BackendKind k);
 
-/// Configuration of the solve-phase kernel engine. Defaults enable
-/// everything; `fused = false` restores the original two-pass reference
-/// path (which the bench uses as its baseline and the property tests use as
-/// the bitwise oracle).
+/// SELL chunk height C (accumulator width). C=16 measured best-or-tied for
+/// V(1,1) cycles on the 27-point Laplacian across C in {8,16,32,64}
+/// (bench/solve_phase); wider chunks trade contiguous-column coverage for
+/// more accumulators without a reliable cycle-level win.
+inline constexpr Index kSellChunk = 16;
+
+/// SELL sorting window sigma. A small window keeps the permutation local
+/// (sorted rows stay near their neighbors, so x accesses keep the CSR
+/// locality) while still grouping equal-length stencil rows into full-width
+/// chunks.
+inline constexpr Index kSellSigma = 256;
+
+/// Configuration of the solve-phase kernel engine.
 struct KernelEngineOptions {
   /// Kernel backend request. kAuto picks the widest supported ISA; an
   /// explicit kind pins it (bypassing the ASYNCMG_BACKEND env override,
@@ -61,25 +52,12 @@ struct KernelEngineOptions {
   /// request falls back to the widest supported backend with a logged
   /// warning — it never fails the setup.
   BackendKind backend = BackendKind::kAuto;
-  /// Use the fused single-A-pass kernels in cycles and smoothers.
-  bool fused = true;
-  /// Convert eligible levels to SELL-C-sigma at setup.
+  /// Convert eligible levels to SELL-C-sigma (kSellChunk, kSellSigma) at
+  /// setup.
   bool use_sell = true;
   /// Smallest level (rows) worth converting: below this the matrix lives in
   /// cache and conversion/padding overhead buys nothing.
   Index sell_min_rows = 1 << 12;
-  /// SELL chunk height C (accumulator width). C=16 measured best-or-tied
-  /// for V(1,1) cycles on the 27-point Laplacian across C in {8,16,32,64}
-  /// (bench/solve_phase); wider chunks trade contiguous-column coverage for
-  /// more accumulators without a reliable cycle-level win.
-  Index sell_chunk = 16;
-  /// SELL sorting window sigma. A small window keeps the permutation local
-  /// (sorted rows stay near their neighbors, so x accesses keep the CSR
-  /// locality) while still grouping equal-length stencil rows into
-  /// full-width chunks.
-  Index sell_sigma = 256;
-  /// Touch workspace pages from the owning thread team at setup.
-  bool first_touch = true;
 };
 
 /// Per-level format choice: SELL-C-sigma only pays off on levels that run
@@ -88,39 +66,6 @@ struct KernelEngineOptions {
 /// keep CSR. `rows` is the level's row count.
 bool level_prefers_sell(const KernelEngineOptions& opts, Index rows,
                         bool diagonal_smoother, bool coarsest);
-
-/// x_out = x_in + d .* (b - A x_in): one fused damped-Jacobi sweep over a
-/// CSR matrix, bit-identical to CsrMatrix::residual followed by the
-/// elementwise update. x_out must not alias x_in (the sweep is Jacobi, not
-/// Gauss-Seidel: every row reads the old iterate).
-void fused_diag_sweep(const CsrMatrix& a, const Vector& d, const Vector& b,
-                      const Vector& x_in, Vector& x_out);
-
-/// OpenMP variant (same pool-worker/small-matrix fallback as the CsrMatrix
-/// solve kernels; identical results for every thread count).
-void fused_diag_sweep_omp(const CsrMatrix& a, const Vector& d, const Vector& b,
-                          const Vector& x_in, Vector& x_out);
-
-/// tmp = r - A e in spmv accumulation order: the restriction input of the
-/// multiplicative cycle, bit-identical to spmv + elementwise subtract.
-void fused_sub_spmv(const CsrMatrix& a, const Vector& r, const Vector& e,
-                    Vector& tmp);
-
-/// OpenMP variant of fused_sub_spmv.
-void fused_sub_spmv_omp(const CsrMatrix& a, const Vector& r, const Vector& e,
-                        Vector& tmp);
-
-/// r = b - A x and sum_i r_i^2 in one pass over A; the return value is
-/// bit-identical to dot(r, r) after CsrMatrix::residual. The sum is always
-/// accumulated serially in row order, so it is thread-count invariant.
-double fused_residual_norm_sq(const CsrMatrix& a, const Vector& b,
-                              const Vector& x, Vector& r);
-
-/// OpenMP variant: the residual rows are computed in parallel, the
-/// sum-of-squares reduction stays a serial second pass over r (cache-hot),
-/// preserving bitwise identity with the serial form.
-double fused_residual_norm_sq_omp(const CsrMatrix& a, const Vector& b,
-                                  const Vector& x, Vector& r);
 
 /// Approximate bytes one pass over `a` streams (values at the stored scalar
 /// width + columns + row pointers), for the telemetry bytes-moved counters.
@@ -139,8 +84,8 @@ inline std::size_t sell_pass_bytes(const SellMatrix& a) {
 /// True when the solve-phase kernels should fan out an OpenMP team for a
 /// matrix of `rows` rows: large enough to amortize the team start, more
 /// than one thread configured, and not on a pool worker thread (pool lanes
-/// are already one per core). Shared by the CSR/SELL engines and the
-/// src/backend kernel backends so every path gates identically.
+/// are already one per core). Shared by the CSR and SELL kernels of every
+/// kernel backend so every path gates identically.
 bool solve_omp_eligible(Index rows);
 
 }  // namespace asyncmg

@@ -1,6 +1,7 @@
 #pragma once
-// The Op vocabulary of the SELL-C-σ kernels, shared by the scalar engine
-// (sellcs.cpp) and the SIMD backends (src/backend/simd_*.cpp).
+// The Op vocabulary of the SELL-C-σ kernels, shared by the scalar chunk
+// loop (src/backend/backend.cpp) and the SIMD ones (src/backend/simd_*.cpp)
+// through the one SELL skeleton (src/backend/sell_backend.hpp).
 //
 // kSubtract selects the accumulation order: residual-style ops seed with
 // b[row] and subtract products (matching CsrMatrix::residual), spmv-style

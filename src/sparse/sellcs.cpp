@@ -1,7 +1,5 @@
 #include "sparse/sellcs.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cassert>
 #include <limits>
@@ -9,150 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sparse/kernels.hpp"
-#include "sparse/parallel.hpp"
-#include "sparse/sell_ops.hpp"
-#include "util/partition.hpp"
-#include "util/thread_context.hpp"
-
 namespace asyncmg {
-
-namespace {
-
-/// Same gate as the CsrMatrix solve kernels: only fan out on client threads
-/// over matrices large enough to amortize a team start, and never for a
-/// one-thread team.
-bool use_solve_omp(Index rows) { return solve_omp_eligible(rows); }
-
-// The Op vocabulary for apply_chunks lives in sparse/sell_ops.hpp, shared
-// with the SIMD backends so every backend runs identical seed/store
-// arithmetic around the ISA-specific accumulation loop.
-using sellops::DiagSweepOp;
-using sellops::ResidualOp;
-using sellops::SpmvOp;
-using sellops::SubSpmvOp;
-
-}  // namespace
-
-template <class VT, class Op>
-void SellMatrix::apply_chunks(const VT* va, const double* x, const Op& op,
-                              std::size_t chunk_begin,
-                              std::size_t chunk_end) const {
-  const Index c = c_;
-  double acc[kMaxChunk];
-  for (std::size_t ch = chunk_begin; ch < chunk_end; ++ch) {
-    const std::size_t s0 = ch * static_cast<std::size_t>(c);
-    // Pad slots (perm == -1) trail the final chunk; real slots before them
-    // all get an accumulator, even empty rows (their seed is the result).
-    Index lanes = c;
-    while (lanes > 0 && perm_[s0 + static_cast<std::size_t>(lanes) - 1] < 0) {
-      --lanes;
-    }
-    for (Index lane = 0; lane < lanes; ++lane) {
-      acc[lane] = op.init(perm_[s0 + static_cast<std::size_t>(lane)]);
-    }
-    const VT* vals = va + chunk_ptr_[ch];
-    const Index* cols = col_idx_.data() + chunk_ptr_[ch];
-    const Index width = chunk_width_[ch];
-    if (ucol_ofs_[ch] >= 0) {
-      // Contiguous-column chunk (see contiguous_chunks()): every lane is
-      // full width and the C columns at each j are consecutive, so x is
-      // read unit-stride from one base per column and the col_idx stream
-      // is skipped entirely. Constant trip counts let the compiler unroll
-      // and keep the accumulators in registers. The per-lane accumulation
-      // order is identical to the general path below.
-      const Index* ub = ucol_base_.data() + ucol_ofs_[ch];
-      for (Index j = 0; j < width; ++j) {
-        const VT* v = vals + static_cast<std::size_t>(j) * c;
-        const double* xs = x + static_cast<std::size_t>(ub[j]);
-        for (Index lane = 0; lane < c; ++lane) {
-          const double p = v[lane] * xs[lane];
-          if constexpr (Op::kSubtract) {
-            acc[lane] -= p;
-          } else {
-            acc[lane] += p;
-          }
-        }
-      }
-      for (Index lane = 0; lane < lanes; ++lane) {
-        op.store(perm_[s0 + static_cast<std::size_t>(lane)], acc[lane]);
-      }
-      continue;
-    }
-    if (lanes == c && slot_len_[s0 + static_cast<std::size_t>(c) - 1] == width) {
-      // Uniform chunk (every lane holds `width` entries — the common case
-      // after the sigma sort): constant-trip lane loop with no prefix
-      // tracking, so the compiler can unroll and keep acc in registers.
-      // Identical per-lane accumulation order to the general path below.
-      for (Index j = 0; j < width; ++j) {
-        const VT* v = vals + static_cast<std::size_t>(j) * c;
-        const Index* cc = cols + static_cast<std::size_t>(j) * c;
-        for (Index lane = 0; lane < c; ++lane) {
-          const double p = v[lane] * x[static_cast<std::size_t>(cc[lane])];
-          if constexpr (Op::kSubtract) {
-            acc[lane] -= p;
-          } else {
-            acc[lane] += p;
-          }
-        }
-      }
-      for (Index lane = 0; lane < lanes; ++lane) {
-        op.store(perm_[s0 + static_cast<std::size_t>(lane)], acc[lane]);
-      }
-      continue;
-    }
-    Index active = lanes;
-    for (Index j = 0; j < width; ++j) {
-      // Slot lengths are descending within the chunk, so the lanes still
-      // holding entries at column j form a prefix; padding is never read.
-      while (active > 0 &&
-             slot_len_[s0 + static_cast<std::size_t>(active) - 1] <= j) {
-        --active;
-      }
-      const VT* v = vals + static_cast<std::size_t>(j) * c;
-      const Index* cc = cols + static_cast<std::size_t>(j) * c;
-      for (Index lane = 0; lane < active; ++lane) {
-        const double p =
-            v[lane] * x[static_cast<std::size_t>(cc[lane])];
-        if constexpr (Op::kSubtract) {
-          acc[lane] -= p;
-        } else {
-          acc[lane] += p;
-        }
-      }
-    }
-    for (Index lane = 0; lane < lanes; ++lane) {
-      op.store(perm_[s0 + static_cast<std::size_t>(lane)], acc[lane]);
-    }
-  }
-}
-
-template <class Op>
-void SellMatrix::run(const double* x, const Op& op, bool parallel) const {
-  if (prec_ == Precision::kF32) {
-    run_values(values_f32_.data(), x, op, parallel);
-  } else {
-    run_values(values_.data(), x, op, parallel);
-  }
-}
-
-template <class VT, class Op>
-void SellMatrix::run_values(const VT* va, const double* x, const Op& op,
-                            bool parallel) const {
-  const std::size_t nchunks = chunk_width_.size();
-  if (!parallel || nchunks <= 1) {
-    apply_chunks(va, x, op, 0, nchunks);
-    return;
-  }
-  const std::span<const Index> prefix(chunk_ptr_);
-#pragma omp parallel
-  {
-    const auto nt = static_cast<std::size_t>(omp_get_num_threads());
-    const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    const Range rg = nnz_balanced_chunk(prefix, nt, t);
-    apply_chunks(va, x, op, rg.begin, rg.end);
-  }
-}
 
 SellMatrix SellMatrix::from_csr(const CsrMatrix& a, Index chunk, Index sigma) {
   if (chunk < 1 || chunk > kMaxChunk) {
@@ -245,7 +100,7 @@ SellMatrix SellMatrix::from_csr(const CsrMatrix& a, Index chunk, Index sigma) {
   // are consecutive. The stable sigma sort keeps equal-length neighbors in
   // original order, so structured-grid stencils qualify for most interior
   // chunks. Qualifying chunks multiply from ucol_base_ with unit-stride x
-  // reads and never touch col_idx_ (see apply_chunks).
+  // reads and never touch col_idx_.
   m.ucol_ofs_.assign(nchunks, Index{-1});
   for (std::size_t ch = 0; ch < nchunks; ++ch) {
     const Index width = m.chunk_width_[ch];
@@ -276,70 +131,6 @@ SellMatrix SellMatrix::from_csr(const CsrMatrix& a, Index chunk, Index sigma) {
   assert(is_kernel_aligned(m.values_.data()) &&
          is_kernel_aligned(m.values_f32_.data()));
   return m;
-}
-
-void SellMatrix::spmv(const Vector& x, Vector& y) const {
-  assert(static_cast<Index>(x.size()) == cols_);
-  y.resize(static_cast<std::size_t>(rows_));
-  run(x.data(), SpmvOp{y.data()}, false);
-}
-
-void SellMatrix::spmv_omp(const Vector& x, Vector& y) const {
-  assert(static_cast<Index>(x.size()) == cols_);
-  y.resize(static_cast<std::size_t>(rows_));
-  run(x.data(), SpmvOp{y.data()}, use_solve_omp(rows_));
-}
-
-void SellMatrix::residual(const Vector& b, const Vector& x, Vector& r) const {
-  assert(static_cast<Index>(b.size()) == rows_ &&
-         static_cast<Index>(x.size()) == cols_);
-  r.resize(static_cast<std::size_t>(rows_));
-  run(x.data(), ResidualOp{b.data(), r.data()}, false);
-}
-
-void SellMatrix::residual_omp(const Vector& b, const Vector& x,
-                              Vector& r) const {
-  assert(static_cast<Index>(b.size()) == rows_ &&
-         static_cast<Index>(x.size()) == cols_);
-  r.resize(static_cast<std::size_t>(rows_));
-  run(x.data(), ResidualOp{b.data(), r.data()}, use_solve_omp(rows_));
-}
-
-void SellMatrix::fused_diag_sweep(const Vector& d, const Vector& b,
-                                  const Vector& x_in, Vector& x_out) const {
-  assert(rows_ == cols_ && static_cast<Index>(d.size()) == rows_ &&
-         static_cast<Index>(b.size()) == rows_ &&
-         static_cast<Index>(x_in.size()) == rows_ && &x_in != &x_out);
-  x_out.resize(static_cast<std::size_t>(rows_));
-  run(x_in.data(), DiagSweepOp{b.data(), d.data(), x_in.data(), x_out.data()},
-      false);
-}
-
-void SellMatrix::fused_diag_sweep_omp(const Vector& d, const Vector& b,
-                                      const Vector& x_in,
-                                      Vector& x_out) const {
-  assert(rows_ == cols_ && static_cast<Index>(d.size()) == rows_ &&
-         static_cast<Index>(b.size()) == rows_ &&
-         static_cast<Index>(x_in.size()) == rows_ && &x_in != &x_out);
-  x_out.resize(static_cast<std::size_t>(rows_));
-  run(x_in.data(), DiagSweepOp{b.data(), d.data(), x_in.data(), x_out.data()},
-      use_solve_omp(rows_));
-}
-
-void SellMatrix::fused_sub_spmv(const Vector& r, const Vector& e,
-                                Vector& tmp) const {
-  assert(static_cast<Index>(r.size()) == rows_ &&
-         static_cast<Index>(e.size()) == cols_);
-  tmp.resize(static_cast<std::size_t>(rows_));
-  run(e.data(), SubSpmvOp{r.data(), tmp.data()}, false);
-}
-
-void SellMatrix::fused_sub_spmv_omp(const Vector& r, const Vector& e,
-                                    Vector& tmp) const {
-  assert(static_cast<Index>(r.size()) == rows_ &&
-         static_cast<Index>(e.size()) == cols_);
-  tmp.resize(static_cast<std::size_t>(rows_));
-  run(e.data(), SubSpmvOp{r.data(), tmp.data()}, use_solve_omp(rows_));
 }
 
 std::string SellMatrix::summary() const {

@@ -10,12 +10,14 @@
 // are bottlenecked on in CSR form; σ-window sorting keeps the permutation
 // local so the padding stays small without destroying access locality.
 //
-// Contract with the rest of the library: every kernel here is bit-identical
-// to its CsrMatrix counterpart on the source matrix. Per row, entries are
-// visited in exactly the CSR order (ascending column), padding lanes are
-// never read, and each output row is written by exactly one chunk, so the
-// result does not depend on the thread count. Vectors stay in original row
-// numbering; the permutation is applied on the fly through perm().
+// This class is the format only: conversion, accessors, and the raw view()
+// the kernels read. The SELL kernels live in the kernel backends
+// (backend/backend.hpp), which must be bit-identical to the CsrMatrix
+// kernels on the source matrix: per row, entries are visited in exactly the
+// CSR order (ascending column), padding lanes are never read, and each
+// output row is written by exactly one chunk, so the result does not depend
+// on the thread count. Vectors stay in original row numbering; the
+// permutation is applied on the fly through perm().
 
 #include <cstddef>
 #include <span>
@@ -28,8 +30,8 @@
 
 namespace asyncmg {
 
-/// Read-only raw view of the SELL storage for out-of-class kernels (the
-/// src/backend SIMD implementations). Pointers alias the owning SellMatrix
+/// Read-only raw view of the SELL storage for the kernel backends
+/// (src/backend). Pointers alias the owning SellMatrix
 /// and stay valid while it is alive and unmodified. Exactly one of
 /// `values` / `values_f32` is non-null, per `prec`. The value and column
 /// slabs are kKernelAlign-aligned (util/aligned.hpp).
@@ -97,39 +99,6 @@ class SellMatrix {
   /// unit-stride load per column and never touch the col_idx stream.
   std::size_t contiguous_chunks() const { return n_contig_; }
 
-  /// y = A x. Bit-identical to CsrMatrix::spmv on the source matrix.
-  void spmv(const Vector& x, Vector& y) const;
-
-  /// OpenMP variant (chunk-parallel, nnz-balanced); same pool-worker and
-  /// small-matrix fallback as CsrMatrix::spmv_omp, identical results for
-  /// every thread count.
-  void spmv_omp(const Vector& x, Vector& y) const;
-
-  /// r = b - A x with CsrMatrix::residual's accumulation order
-  /// (s = b_i, then s -= a_ij x_j in column order).
-  void residual(const Vector& b, const Vector& x, Vector& r) const;
-
-  /// OpenMP variant of residual.
-  void residual_omp(const Vector& b, const Vector& x, Vector& r) const;
-
-  /// x_out = x_in + d ∘ (b - A x_in): one fused damped-Jacobi sweep,
-  /// bit-identical to residual() followed by x_out = x_in + d .* r.
-  void fused_diag_sweep(const Vector& d, const Vector& b, const Vector& x_in,
-                        Vector& x_out) const;
-
-  /// OpenMP variant of fused_diag_sweep.
-  void fused_diag_sweep_omp(const Vector& d, const Vector& b,
-                            const Vector& x_in, Vector& x_out) const;
-
-  /// tmp = r - A e with CsrMatrix::spmv accumulation order (s = sum a_ij
-  /// e_j, then r_i - s): the fused restriction input kernel, bit-identical
-  /// to spmv() followed by an elementwise subtraction.
-  void fused_sub_spmv(const Vector& r, const Vector& e, Vector& tmp) const;
-
-  /// OpenMP variant of fused_sub_spmv.
-  void fused_sub_spmv_omp(const Vector& r, const Vector& e,
-                          Vector& tmp) const;
-
   /// Approximate bytes streamed by one matrix pass (values at the stored
   /// scalar width + columns + chunk metadata), for the telemetry bytes-moved
   /// counters. Contiguous chunks skip the col_idx stream and read one base
@@ -142,8 +111,7 @@ class SellMatrix {
                sizeof(Index);
   }
 
-  /// Raw storage view for the src/backend SIMD kernels. The scalar kernels
-  /// below remain the bitwise oracle every backend must reproduce.
+  /// Raw storage view for the src/backend kernels.
   SellView view() const {
     SellView v;
     v.rows = rows_;
@@ -170,27 +138,6 @@ class SellMatrix {
   std::string summary() const;
 
  private:
-  // Core kernel: runs chunks [chunk_begin, chunk_end), multiplying against
-  // `x`. `Op` supplies the per-row accumulator seed (init), the output write
-  // (store), and whether products are subtracted (residual order) or added
-  // (spmv order). Every concrete kernel is one Op instantiation, so the
-  // entry walk — and therefore the floating-point ordering — is shared.
-  // `VT` is the stored value type (double/float per prec_); products widen
-  // to double and the accumulators stay double either way.
-  template <class VT, class Op>
-  void apply_chunks(const VT* va, const double* x, const Op& op,
-                    std::size_t chunk_begin, std::size_t chunk_end) const;
-
-  // Serial/OpenMP dispatch shared by the public kernels: the OpenMP path
-  // splits chunks nnz-balanced across the team; chunks own disjoint output
-  // rows, so results are identical for every thread count. run() picks the
-  // stored value array by prec_ and forwards to the width-templated body.
-  template <class Op>
-  void run(const double* x, const Op& op, bool parallel) const;
-  template <class VT, class Op>
-  void run_values(const VT* va, const double* x, const Op& op,
-                  bool parallel) const;
-
   Index rows_ = 0;
   Index cols_ = 0;
   Index nnz_ = 0;

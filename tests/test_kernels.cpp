@@ -1,9 +1,11 @@
-// Solve-phase kernel engine properties: SELL-C-sigma and the fused kernels
-// are bit-identical to their CSR / two-pass references on random matrices
-// and at every thread count; the workspace overloads reproduce the
-// allocating forms exactly; a whole engine-enabled multigrid cycle matches
-// the reference path bitwise; and the cycle loop performs zero heap
-// allocations (counting global operator new).
+// Solve-phase kernel engine properties: the scalar backend's SELL-C-sigma
+// and fused CSR kernels are bit-identical to the serial CsrMatrix / two-pass
+// references on random matrices and at every thread count (the SIMD
+// backends are checked against the scalar backend in test_backend.cpp); the
+// workspace overloads reproduce the allocating forms exactly; a whole
+// multigrid cycle matches the test-only reference cycle (tests/oracle)
+// bitwise; and the cycle loop performs zero heap allocations (counting
+// global operator new).
 
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -15,10 +17,12 @@
 #include <new>
 #include <tuple>
 
+#include "backend/backend.hpp"
 #include "mesh/problems.hpp"
 #include "multigrid/mult.hpp"
 #include "multigrid/pcg.hpp"
 #include "multigrid/setup.hpp"
+#include "oracle/reference_cycle.hpp"
 #include "sparse/kernels.hpp"
 #include "sparse/sellcs.hpp"
 #include "sparse/vec.hpp"
@@ -89,7 +93,8 @@ CsrMatrix random_csr(Index rows, Index cols, double fill, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------
-// SELL-C-sigma structure and bitwise kernel identity vs CSR.
+// SELL-C-sigma structure and bitwise kernel identity: scalar backend vs
+// the serial CsrMatrix kernels.
 // ---------------------------------------------------------------------
 
 TEST(SellFormat, PermIsValidAndUniformRowsKeepIdentity) {
@@ -143,29 +148,30 @@ TEST_P(SellKernelIdentity, MatchesCsrBitwise) {
     const Vector x = random_vector(un, rng);
     const Vector b = random_vector(un, rng);
     const Vector d = random_vector(un, rng, 0.1, 1.0);
+    const KernelBackend& be = scalar_backend();
 
     Vector ref, got;
     a.spmv(x, ref);
-    s.spmv(x, got);
+    be.sell_spmv(s, x, got, /*parallel=*/false);
     expect_bitwise(ref, got, "spmv");
 
     a.residual(b, x, ref);
-    s.residual(b, x, got);
+    be.sell_residual(s, b, x, got, /*parallel=*/false);
     expect_bitwise(ref, got, "residual");
 
-    // fused_diag_sweep == residual then x_out = x_in + d .* r.
+    // sell_diag_sweep == residual then x_out = x_in + d .* r.
     Vector r;
     a.residual(b, x, r);
     ref.resize(un);
     for (std::size_t i = 0; i < un; ++i) ref[i] = x[i] + d[i] * r[i];
-    s.fused_diag_sweep(d, b, x, got);
-    expect_bitwise(ref, got, "fused_diag_sweep");
+    be.sell_diag_sweep(s, d, b, x, got, /*parallel=*/false);
+    expect_bitwise(ref, got, "sell_diag_sweep");
 
-    // fused_sub_spmv == spmv then tmp = r - tmp (spmv accumulation order).
+    // sell_sub_spmv == spmv then tmp = r - tmp (spmv accumulation order).
     a.spmv(x, ref);
     for (std::size_t i = 0; i < un; ++i) ref[i] = b[i] - ref[i];
-    s.fused_sub_spmv(b, x, got);
-    expect_bitwise(ref, got, "fused_sub_spmv");
+    be.sell_sub_spmv(s, b, x, got, /*parallel=*/false);
+    expect_bitwise(ref, got, "sell_sub_spmv");
   }
 }
 
@@ -185,9 +191,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// CSR fused kernels vs their two-pass references, serial and OpenMP, at
-// several thread counts. The large matrix clears the solve-kernel OpenMP
-// cutoff so the parallel paths actually run.
+// Backend CSR fused kernels vs their two-pass references, serial and
+// parallel, plus the parallel SELL kernels, at several thread counts. The
+// large matrix clears the solve-kernel OpenMP cutoff so the parallel paths
+// actually run.
 // ---------------------------------------------------------------------
 
 TEST(FusedKernels, BitIdenticalAtEveryThreadCount) {
@@ -213,34 +220,35 @@ TEST(FusedKernels, BitIdenticalAtEveryThreadCount) {
     a.spmv(x, sub_ref);
     for (std::size_t i = 0; i < un; ++i) sub_ref[i] = b[i] - sub_ref[i];
 
+    const KernelBackend& be = scalar_backend();
     Vector got, r_got;
-    fused_diag_sweep(a, d, b, x, got);
-    expect_bitwise(sweep_ref, got, "csr fused_diag_sweep");
-    fused_sub_spmv(a, b, x, got);
-    expect_bitwise(sub_ref, got, "csr fused_sub_spmv");
-    EXPECT_EQ(nsq_ref, fused_residual_norm_sq(a, b, x, r_got));
-    expect_bitwise(r_ref, r_got, "csr fused_residual_norm_sq r");
+    be.csr_diag_sweep(a, d, b, x, got, /*parallel=*/false);
+    expect_bitwise(sweep_ref, got, "csr_diag_sweep serial");
+    be.csr_sub_spmv(a, b, x, got, /*parallel=*/false);
+    expect_bitwise(sub_ref, got, "csr_sub_spmv serial");
+    EXPECT_EQ(nsq_ref, be.csr_residual_norm_sq(a, b, x, r_got, false));
+    expect_bitwise(r_ref, r_got, "csr_residual_norm_sq serial r");
 
     for (int nt : {1, 2, 4}) {
       if (nt > max_threads) continue;
       omp_set_num_threads(nt);
-      fused_diag_sweep_omp(a, d, b, x, got);
-      expect_bitwise(sweep_ref, got, "csr fused_diag_sweep_omp");
-      fused_sub_spmv_omp(a, b, x, got);
-      expect_bitwise(sub_ref, got, "csr fused_sub_spmv_omp");
-      EXPECT_EQ(nsq_ref, fused_residual_norm_sq_omp(a, b, x, r_got));
-      expect_bitwise(r_ref, r_got, "csr fused_residual_norm_sq_omp r");
+      be.csr_diag_sweep(a, d, b, x, got, /*parallel=*/true);
+      expect_bitwise(sweep_ref, got, "csr_diag_sweep parallel");
+      be.csr_sub_spmv(a, b, x, got, /*parallel=*/true);
+      expect_bitwise(sub_ref, got, "csr_sub_spmv parallel");
+      EXPECT_EQ(nsq_ref, be.csr_residual_norm_sq(a, b, x, r_got, true));
+      expect_bitwise(r_ref, r_got, "csr_residual_norm_sq parallel r");
 
-      s.spmv_omp(x, got);
+      be.sell_spmv(s, x, got, /*parallel=*/true);
       Vector tmp;
       a.spmv(x, tmp);
-      expect_bitwise(tmp, got, "sell spmv_omp");
-      s.residual_omp(b, x, got);
-      expect_bitwise(r_ref, got, "sell residual_omp");
-      s.fused_diag_sweep_omp(d, b, x, got);
-      expect_bitwise(sweep_ref, got, "sell fused_diag_sweep_omp");
-      s.fused_sub_spmv_omp(b, x, got);
-      expect_bitwise(sub_ref, got, "sell fused_sub_spmv_omp");
+      expect_bitwise(tmp, got, "sell_spmv parallel");
+      be.sell_residual(s, b, x, got, /*parallel=*/true);
+      expect_bitwise(r_ref, got, "sell_residual parallel");
+      be.sell_diag_sweep(s, d, b, x, got, /*parallel=*/true);
+      expect_bitwise(sweep_ref, got, "sell_diag_sweep parallel");
+      be.sell_sub_spmv(s, b, x, got, /*parallel=*/true);
+      expect_bitwise(sub_ref, got, "sell_sub_spmv parallel");
     }
     omp_set_num_threads(max_threads);
   }
@@ -305,9 +313,9 @@ INSTANTIATE_TEST_SUITE_P(Types, SmootherWsIdentity,
                          });
 
 // ---------------------------------------------------------------------
-// Whole-cycle identity: the engine path (fused kernels, SELL levels,
-// workspace buffers) must match the reference path bitwise, cycle for
-// cycle, for every cycle shape and thread count.
+// Whole-cycle identity: MultiplicativeMg (fused kernels, SELL levels,
+// workspace buffers) must match the test-only reference cycle bitwise,
+// cycle for cycle, for every cycle shape and thread count.
 // ---------------------------------------------------------------------
 
 struct CycleConfig {
@@ -339,37 +347,39 @@ TEST_P(EngineCycleIdentity, FusedMatchesReferenceBitwise) {
   Rng rng(31);
   const Vector b = random_vector(static_cast<std::size_t>(s.a(0).rows()), rng);
 
-  // Baseline: reference path, single thread.
+  const oracle::CycleShape shape{cfg.symmetric, cfg.pre, cfg.post, cfg.gamma};
+
+  // Baseline: reference cycle, single thread.
   const int max_threads = omp_get_max_threads();
   omp_set_num_threads(1);
-  MultiplicativeMg ref_mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
-  ref_mg.set_fused(false);
+  oracle::ReferenceLevels levels;
   Vector x_ref(b.size(), 0.0);
-  for (int t = 0; t < 3; ++t) ref_mg.cycle(b, x_ref);
+  for (int t = 0; t < 3; ++t) {
+    oracle::reference_cycle(s, b, x_ref, levels, shape);
+  }
 
   for (int nt : {1, 4}) {
     if (nt > max_threads) continue;
     omp_set_num_threads(nt);
-    for (bool fused : {false, true}) {
-      MultiplicativeMg mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
-      mg.set_fused(fused);
-      Vector x(b.size(), 0.0);
-      for (int t = 0; t < 3; ++t) mg.cycle(b, x);
-      expect_bitwise(x_ref, x,
-                     fused ? "fused cycle vs reference" : "reference cycle");
+    Vector x(b.size(), 0.0);
+    for (int t = 0; t < 3; ++t) {
+      oracle::reference_cycle(s, b, x, levels, shape);
     }
+    expect_bitwise(x_ref, x, "reference cycle");
+
+    MultiplicativeMg mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
+    x.assign(b.size(), 0.0);
+    for (int t = 0; t < 3; ++t) mg.cycle(b, x);
+    expect_bitwise(x_ref, x, "fused cycle vs reference");
   }
 
   // solve(): the fused residual-norm must reproduce the reference history
-  // bitwise (fused_residual_norm_sq == residual + dot identity).
+  // bitwise (csr_residual_norm_sq == residual + dot identity).
   omp_set_num_threads(max_threads);
   MultiplicativeMg a_mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
-  MultiplicativeMg b_mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
-  a_mg.set_fused(true);
-  b_mg.set_fused(false);
   Vector xa(b.size(), 0.0), xb(b.size(), 0.0);
   const SolveStats sa = a_mg.solve(b, xa, 5);
-  const SolveStats sb = b_mg.solve(b, xb, 5);
+  const SolveStats sb = oracle::reference_solve(s, b, xb, 5, 0.0, shape);
   ASSERT_EQ(sa.rel_res_history.size(), sb.rel_res_history.size());
   for (std::size_t i = 0; i < sa.rel_res_history.size(); ++i) {
     EXPECT_EQ(sa.rel_res_history[i], sb.rel_res_history[i]) << "history " << i;

@@ -13,6 +13,7 @@
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/strength.hpp"
+#include "backend/backend.hpp"
 #include "mesh/problems.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/parallel.hpp"
@@ -156,14 +157,17 @@ TEST(ParallelSolveKernels, MatchSerialSpmv) {
     y0[i] = rng.uniform(-1.0, 1.0);
   }
 
+  // The backend's CSR entry points with parallel = true split rows across
+  // the OpenMP team; the serial CsrMatrix kernels are their oracle.
+  const KernelBackend& be = scalar_backend();
   Vector y_ref = y0, y_omp = y0;
   a.spmv(x, y_ref);
-  a.spmv_omp(x, y_omp);
+  be.csr_spmv(a, x, y_omp, /*parallel=*/true);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y_ref[i], y_omp[i]);
 
   Vector r_ref, r_omp;
   a.residual(b, x, r_ref);
-  a.residual_omp(b, x, r_omp);
+  be.csr_residual(a, b, x, r_omp, /*parallel=*/true);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(r_ref[i], r_omp[i]);
 
   y_ref = y0;
@@ -171,14 +175,14 @@ TEST(ParallelSolveKernels, MatchSerialSpmv) {
   Vector ax(n);
   a.spmv(x, ax);
   for (std::size_t i = 0; i < n; ++i) y_ref[i] += 0.5 * ax[i];
-  a.spmv_add_omp(x, y_omp, 0.5);
+  be.csr_spmv_add(a, x, y_omp, 0.5, /*parallel=*/true);
   for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(y_ref[i], y_omp[i], 1e-14);
 
-  // On a pool worker the OMP kernels must still produce the same values
-  // (they just stay serial to respect the pool's thread budget).
+  // On a pool worker the parallel kernels must still produce the same
+  // values (they just stay serial to respect the pool's thread budget).
   set_this_thread_pool_worker(true);
   Vector r_pool;
-  a.residual_omp(b, x, r_pool);
+  be.csr_residual(a, b, x, r_pool, /*parallel=*/true);
   set_this_thread_pool_worker(false);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(r_ref[i], r_pool[i]);
 }

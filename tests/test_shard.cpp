@@ -601,6 +601,54 @@ TEST(ShardRouterTest, RoutesWithCacheAffinityAndMergesStats) {
   EXPECT_NE(json.find("\"submitted\":3"), std::string::npos);
 }
 
+TEST(ShardRouterTest, FailoverWalksRingOrderNotIndexOrder) {
+  ShardRouterOptions o;
+  o.num_backends = 4;
+  o.vnodes_per_backend = 8;
+  o.service.num_threads = 1;
+  o.service.max_queue = 1;  // one in-flight request fills a backend
+  o.service.cache.mg.smoother.type = SmootherType::kWeightedJacobi;
+  o.service.cache.mg.smoother.omega = 0.9;
+  o.service.default_t_max = 30;
+  ShardRouter router(o);
+
+  // A request whose next distinct backend on the ring is not its home's
+  // index successor, so the two failover orders disagree.
+  std::vector<std::size_t> order;
+  CsrMatrix a;
+  for (Index n = 4; n < 40 && a.rows() == 0; ++n) {
+    Problem p = make_laplace_7pt(n);
+    order = select_backends(router.ring(), ring_key(matrix_fingerprint(p.a)),
+                            o.num_backends);
+    if (order[1] != (order[0] + 1) % o.num_backends) a = std::move(p.a);
+  }
+  ASSERT_GT(a.rows(), 0) << "no key with ring order != index order";
+  const std::size_t home = order[0];
+  EXPECT_EQ(home, router.backend_of(a));
+
+  // Fill the home backend's only admission slot with a solve that cannot
+  // converge and runs until its deadline, so the routed request is shed.
+  Problem big = make_laplace_7pt(12);
+  Rng rng(13);
+  RequestOptions slow;
+  slow.t_max = 1 << 30;
+  slow.tol = 1e-300;
+  slow.timeout_seconds = 1.0;
+  auto blocker = router.backend(home).submit(
+      big.a, random_vector(static_cast<std::size_t>(big.a.rows()), rng),
+      slow);
+
+  const Vector b = random_vector(static_cast<std::size_t>(a.rows()), rng);
+  const SolveResponse r = router.submit(a, b).get();
+  EXPECT_LT(r.stats.final_rel_res(), 1e-6);
+  EXPECT_EQ(router.backend(home).stats().rejected, 1u);
+  EXPECT_EQ(router.backend(order[1]).stats().submitted, 1u)
+      << "failover must go to the next distinct backend on the ring";
+  EXPECT_EQ(router.backend((home + 1) % o.num_backends).stats().submitted, 0u);
+  EXPECT_NE(router.stats_json().find("\"failovers\":1"), std::string::npos);
+  EXPECT_TRUE(blocker.get().timed_out);
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------

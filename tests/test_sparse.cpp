@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "backend/backend.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/io.hpp"
@@ -92,7 +93,7 @@ TEST(Csr, SpmvOmpMatchesSerial) {
   const Vector x = random_vector(64, rng);
   Vector y1, y2;
   a.spmv(x, y1);
-  a.spmv_omp(x, y2);
+  scalar_backend().csr_spmv(a, x, y2, /*parallel=*/true);
   EXPECT_EQ(y1, y2);
 }
 
