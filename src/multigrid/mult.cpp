@@ -9,6 +9,21 @@
 
 namespace asyncmg {
 
+namespace {
+
+/// Runs one cycle entry with `tel` detached when the sink is attached but
+/// disabled, so a disabled sink costs one branch per cycle, not one per
+/// phase.
+template <class Body>
+void detach_if_disabled(TelemetrySink*& tel, Body&& body) {
+  TelemetrySink* const saved = tel;
+  if (saved != nullptr && !saved->enabled()) tel = nullptr;
+  body();
+  tel = saved;
+}
+
+}  // namespace
+
 MultiplicativeMg::MultiplicativeMg(const MgSetup& setup, bool symmetric,
                                    int pre_sweeps, int post_sweeps, int gamma)
     : s_(&setup),
@@ -165,27 +180,31 @@ void MultiplicativeMg::level_solve(std::size_t k) {
 }
 
 void MultiplicativeMg::cycle(const Vector& b, Vector& x) {
-  if (tel_ != nullptr && !tel_->enabled()) {
-    // Drop to the zero-overhead path for the whole cycle.
-    TelemetrySink* const saved = tel_;
-    tel_ = nullptr;
-    cycle(b, x);
-    tel_ = saved;
-    return;
-  }
-  pb(CyclePhase::kResidual, 0);
-  if (s_->sell(0) != nullptr) {
-    be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
-  } else {
-    be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
-  }
-  pe(CyclePhase::kResidual, 0);
-  level_solve(0);
-  axpy(1.0, ws_.e(0), x);
+  detach_if_disabled(tel_, [&] {
+    pb(CyclePhase::kResidual, 0);
+    if (s_->sell(0) != nullptr) {
+      be_->sell_residual(*s_->sell(0), b, x, ws_.r(0), /*parallel=*/true);
+    } else {
+      be_->csr_residual(s_->a(0), b, x, ws_.r(0), /*parallel=*/true);
+    }
+    pe(CyclePhase::kResidual, 0);
+    level_solve(0);
+    axpy(1.0, ws_.e(0), x);
+  });
+}
+
+void MultiplicativeMg::precondition(const Vector& r, Vector& z) {
+  detach_if_disabled(tel_, [&] {
+    // From x = 0 the level-0 residual is r itself (b - A*0 == b entry for
+    // entry) and the corrected iterate is the correction (0 + e == e).
+    if (&r != &ws_.r(0)) ws_.r(0) = r;
+    level_solve(0);
+    if (&z != &ws_.e(0)) z = ws_.e(0);
+  });
 }
 
 SolveStats MultiplicativeMg::solve(const Vector& b, Vector& x, int t_max,
-                                   double tol) {
+                                   double tol, const StopPredicate& stop) {
   SolveStats stats;
   Timer timer;
   const double bnorm = norm2(b);
@@ -200,6 +219,10 @@ SolveStats MultiplicativeMg::solve(const Vector& b, Vector& x, int t_max,
   };
   stats.rel_res_history.push_back(rel_res());
   for (int t = 0; t < t_max; ++t) {
+    if (stop && stop()) {
+      stats.stopped = true;
+      break;
+    }
     cycle(b, x);
     ++stats.cycles;
     const double rr = rel_res();

@@ -29,9 +29,18 @@ class MultiplicativeMg {
   /// One V(1,1)-cycle: x is corrected in place using right-hand side b.
   void cycle(const Vector& b, Vector& x);
 
+  /// Zero-guess entry, the PCG preconditioner z = M^{-1} r: one cycle on
+  /// A z = r from z = 0 that starts level 0 from r itself, skipping
+  /// cycle()'s r - A*0 pass over A_0. Equals `z.assign(n, 0.0); cycle(r, z)`
+  /// entry for entry. `r` and `z` may be this cycle's own workspace().r(0)
+  /// and workspace().e(0), which skips the copies in and out (pcg_solve
+  /// keeps its residual and preconditioned residual there).
+  void precondition(const Vector& r, Vector& z);
+
   /// Runs `t_max` cycles (or until ||r||/||b|| < tol when tol > 0),
-  /// recording the residual history.
-  SolveStats solve(const Vector& b, Vector& x, int t_max, double tol = 0.0);
+  /// recording the residual history. `stop` is polled before every cycle.
+  SolveStats solve(const Vector& b, Vector& x, int t_max, double tol = 0.0,
+                   const StopPredicate& stop = {});
 
   /// Attach a telemetry sink: cycle phases (residual, smooths, transfers,
   /// coarse solve) are recorded as begin/end events on ring `tid`, and the
@@ -48,8 +57,13 @@ class MultiplicativeMg {
   void set_active_levels(std::size_t n);
   std::size_t active_levels() const { return active_; }
 
-  /// The per-instance scratch arena (sizing diagnostics).
+  const MgSetup& setup() const { return *s_; }
+  bool symmetric() const { return symmetric_; }
+
+  /// The per-instance scratch arena (sizing diagnostics; pcg_solve borrows
+  /// its level-0 slots between cycles).
   const CycleWorkspace& workspace() const { return ws_; }
+  CycleWorkspace& workspace() { return ws_; }
 
  private:
   /// Recursive multigrid on the error equation A_k e_k = r_k; reads

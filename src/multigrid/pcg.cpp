@@ -10,17 +10,41 @@
 
 namespace asyncmg {
 
-SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                     const Preconditioner& precond, const PcgOptions& opts) {
-  PcgWorkspace ws;
-  return pcg_solve(a, b, x, precond, opts, ws);
-}
+namespace {
 
-SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
-                     const Preconditioner& precond, const PcgOptions& opts,
-                     PcgWorkspace& ws) {
-  if (a.rows() != a.cols() ||
-      static_cast<std::size_t>(a.rows()) != b.size()) {
+/// A_0 as the iteration applies it: through `be`, on the SELL form when the
+/// level has one. Every backend's SELL and CSR kernels are bitwise the
+/// serial CSR kernels, so the choice changes speed only.
+struct FineOperator {
+  const KernelBackend& be;
+  const CsrMatrix& a;
+  const SellMatrix* sell = nullptr;
+
+  void apply(const Vector& x, Vector& y) const {
+    if (sell != nullptr) {
+      be.sell_spmv(*sell, x, y, /*parallel=*/true);
+    } else {
+      be.csr_spmv(a, x, y, /*parallel=*/true);
+    }
+  }
+  /// r = b - A x; returns ||r||_2.
+  double residual(const Vector& b, const Vector& x, Vector& r) const {
+    if (sell != nullptr) {
+      be.sell_residual(*sell, b, x, r, /*parallel=*/true);
+      return norm2(r);
+    }
+    return std::sqrt(be.csr_residual_norm_sq(a, b, x, r, /*parallel=*/true));
+  }
+};
+
+/// The one PCG iteration body (rules in pcg.hpp). r, z, p and ap are
+/// scratch; z = precond(r) must leave r unchanged.
+SolveStats pcg_iterate(const FineOperator& op, const Vector& b, Vector& x,
+                       const Preconditioner& precond, const PcgOptions& opts,
+                       const StopPredicate& stop, Vector& r, Vector& z,
+                       Vector& p, Vector& ap) {
+  if (op.a.rows() != op.a.cols() ||
+      static_cast<std::size_t>(op.a.rows()) != b.size()) {
     throw std::invalid_argument("pcg_solve: shape mismatch");
   }
   SolveStats stats;
@@ -31,46 +55,37 @@ SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
   Timer timer;
   const std::size_t n = b.size();
   x.resize(n, 0.0);
+  z.resize(n);
+  p.resize(n);
+  ap.resize(n);
 
   const double bnorm = norm2(b);
   const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
+  const auto true_rel_res = [&] { return op.residual(b, x, r) * scale; };
 
-  Vector& r = ws.r;
-  // The CSR kernels are the same code in every backend; the scalar one
-  // needs no setup.
-  const KernelBackend& be = scalar_backend();
-  be.csr_residual(a, b, x, r, /*parallel=*/true);
-  stats.rel_res_history.push_back(norm2(r) * scale);
-
-  Vector& z = ws.z;
-  z.assign(n, 0.0);
-  if (precond) {
-    precond(r, z);
-  } else {
-    z = r;
-  }
-  Vector& p = ws.p;
-  p = z;
-  Vector& ap = ws.ap;
-  ap.resize(n);
-  double rz = dot(r, z);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    be.csr_spmv(a, p, ap, /*parallel=*/true);
-    const double pap = dot(p, ap);
-    if (pap <= 0.0) {
-      // Loss of positive definiteness (numerically), stop with what we have.
-      break;
+  double rel = true_rel_res();
+  stats.rel_res_history.push_back(rel);
+  bool exact = true;        // r is b - A x, not the recurrence's estimate
+  bool restart = true;      // next direction is p = z (fresh Krylov space)
+  bool broke_down = false;  // the last restart came from a breakdown
+  double rz = 0.0;
+  for (;;) {
+    if (rel < opts.tol) {
+      if (exact) {
+        stats.converged = true;
+        break;
+      }
+      // The recurrence residual drifts from b - A x in floating point (it
+      // can fall far below the attainable accuracy): confirm on the true
+      // residual, and restart from the current iterate when it misses.
+      rel = true_rel_res();
+      stats.rel_res_history.back() = rel;
+      exact = restart = true;
+      continue;
     }
-    const double alpha = rz / pap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    ++stats.cycles;
-
-    const double rr = norm2(r) * scale;
-    stats.rel_res_history.push_back(rr);
-    if (rr < opts.tol) {
-      stats.converged = true;
+    if (stats.cycles >= opts.max_iterations) break;
+    if (stop && stop()) {
+      stats.stopped = true;
       break;
     }
 
@@ -80,12 +95,69 @@ SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
       z = r;
     }
     const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
+    if (restart) {
+      p = z;
+    } else {
+      const double beta = rz_new / rz;
+      for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    }
     rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    op.apply(p, ap);
+    const double pap = dot(p, ap);
+    const double alpha = rz / pap;
+    if (!(pap > 0.0) || !(rz > 0.0) || !std::isfinite(alpha)) {
+      // Breakdown: A or M is not SPD along this direction, or a scalar
+      // overflowed. x is untouched, so it is still the last finite iterate.
+      if (broke_down) break;
+      broke_down = true;
+      rel = true_rel_res();
+      stats.rel_res_history.back() = rel;
+      exact = restart = true;
+      continue;
+    }
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    ++stats.cycles;
+    exact = restart = broke_down = false;
+    rel = norm2(r) * scale;
+    stats.rel_res_history.push_back(rel);
   }
+  if (!exact) stats.rel_res_history.back() = true_rel_res();
   stats.seconds = timer.seconds();
   return stats;
+}
+
+}  // namespace
+
+SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
+                     const Preconditioner& precond, const PcgOptions& opts) {
+  PcgWorkspace ws;
+  return pcg_solve(a, b, x, precond, opts, ws);
+}
+
+SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
+                     const Preconditioner& precond, const PcgOptions& opts,
+                     PcgWorkspace& ws) {
+  // The CSR kernels are the same code in every backend; the scalar one
+  // needs no setup.
+  const FineOperator op{scalar_backend(), a};
+  return pcg_iterate(op, b, x, precond, opts, {}, ws.r, ws.z, ws.p, ws.ap);
+}
+
+SolveStats pcg_solve(MultiplicativeMg& mg, const Vector& b, Vector& x,
+                     const PcgOptions& opts, const StopPredicate& stop) {
+  const MgSetup& s = mg.setup();
+  const FineOperator op{s.backend(), s.a(0), s.sell(0)};
+  CycleWorkspace& ws = mg.workspace();
+  // r and z are the cycle's own level-0 residual and correction, so the
+  // preconditioner copies nothing; A p only lives between the SpMV and the
+  // next preconditioner call, which is when tmp(0) is free.
+  const Preconditioner precond = [&mg](const Vector& r, Vector& z) {
+    mg.precondition(r, z);
+  };
+  Vector p;
+  return pcg_iterate(op, b, x, precond, opts, stop, ws.r(0), ws.e(0), p,
+                     ws.tmp(0));
 }
 
 Preconditioner make_mg_preconditioner(const MgSetup& setup,
@@ -126,8 +198,7 @@ Preconditioner make_mg_preconditioner(const MgSetup& setup,
     case MgPreconditionerKind::kSymmetricVCycle: {
       auto mg = std::make_shared<MultiplicativeMg>(setup, /*symmetric=*/true);
       return [mg](const Vector& r, Vector& z) {
-        z.assign(r.size(), 0.0);
-        mg->cycle(r, z);  // one symmetric V(1,1) on A z = r from zero
+        mg->precondition(r, z);  // one symmetric V(1,1) on A z = r from zero
       };
     }
   }

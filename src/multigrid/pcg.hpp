@@ -7,6 +7,9 @@
 //
 //   * BPX or Multadd with the symmetrized smoother (SPD by construction);
 //   * a symmetric multiplicative V(1,1)-cycle.
+//
+// The service layer (RequestSolver) solves symmetric requests with the
+// setup-backed overload at the bottom: PCG around one symmetric V(1,1).
 
 #include <functional>
 
@@ -25,8 +28,8 @@ struct PcgOptions {
   double tol = 1e-9;  // on ||r||_2 / ||b||_2
 };
 
-/// Reusable buffers for pcg_solve: callers issuing many solves (services,
-/// benches) keep one across calls so the iteration allocates nothing after
+/// Reusable buffers for the CSR pcg_solve: callers issuing many solves
+/// (benches) keep one across calls so the iteration allocates nothing after
 /// the first solve. Contents are scratch; only capacity is reused.
 struct PcgWorkspace {
   Vector r, z, p, ap;
@@ -34,6 +37,16 @@ struct PcgWorkspace {
 
 /// Solves A x = b with (preconditioned) CG. Pass a null Preconditioner for
 /// plain CG. Returns the residual history (entry i is after iteration i).
+/// A is applied by the CSR kernels (the same code in every backend).
+///
+/// Every pcg_solve overload runs one iteration body, with these rules:
+///   * convergence is declared only on a recomputed true residual b - A x:
+///     when the recurrence residual crosses tol the true one is recomputed,
+///     and CG restarts from the current iterate if it misses;
+///   * a breakdown (p^T A p <= 0, r^T z <= 0, or a non-finite step) restarts
+///     once from the true residual; a second breakdown in a row stops with
+///     converged = false and the last finite iterate;
+///   * every exit records the true residual as the last history entry.
 SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                      const Preconditioner& precond, const PcgOptions& opts);
 
@@ -42,6 +55,17 @@ SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveStats pcg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                      const Preconditioner& precond, const PcgOptions& opts,
                      PcgWorkspace& ws);
+
+/// PCG on the fine operator of `mg`'s setup, preconditioned by one
+/// zero-guess cycle of `mg` (MultiplicativeMg::precondition; CG theory
+/// needs mg.symmetric()). A_0 runs through the setup's kernel backend, on
+/// its SELL form when the level has one, so the SIMD kernels cover the
+/// outer loop too. The residual, the preconditioned residual and A p live
+/// in mg's level-0 workspace slots (r, e, tmp), so a solve adds one fine
+/// vector to the cycle's arena. `stop` is polled before every iteration.
+/// Not thread-safe: concurrent solves need their own `mg`.
+SolveStats pcg_solve(MultiplicativeMg& mg, const Vector& b, Vector& x,
+                     const PcgOptions& opts, const StopPredicate& stop = {});
 
 enum class MgPreconditionerKind {
   kBpx,                  // Eq. 1, one additive application

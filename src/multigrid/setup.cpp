@@ -20,6 +20,11 @@ void MgSetup::init() {
   // on one implementation for the whole solve.
   backend_ = &resolve_backend(opts_.engine);
 
+  // Scale-relative, so the flag does not depend on how the caller scaled
+  // the system.
+  const CsrMatrix& a0 = h_.matrix(0);
+  symmetric_ = a0.is_symmetric(1e-12 * a0.max_abs());
+
   smoothers_.reserve(nl);
   for (std::size_t k = 0; k < nl; ++k) {
     smoothers_.push_back(

@@ -74,6 +74,13 @@ class MgSetup {
   /// The resolved kind (what backend() actually is, after any fallback).
   BackendKind backend_kind() const { return backend_->kind(); }
 
+  /// True when A_0 is symmetric to within 1e-12 of its largest entry
+  /// (CsrMatrix::is_symmetric, one allocation-free pass here at setup).
+  /// SolveService and BatchSolver answer symmetric setups with PCG around
+  /// the symmetric V-cycle, the rest with stationary V-cycles (DESIGN.md
+  /// section 6).
+  bool symmetric() const { return symmetric_; }
+
   /// Approximate flops of one grid-k correction for the additive methods
   /// (restriction chain + smoothing + prolongation chain); used to balance
   /// threads across grids.
@@ -85,6 +92,7 @@ class MgSetup {
   MgOptions opts_;
   Hierarchy h_;
   const KernelBackend* backend_ = &scalar_backend();
+  bool symmetric_ = false;
   std::vector<std::unique_ptr<Smoother>> smoothers_;
   std::vector<std::unique_ptr<SellMatrix>> sell_;  // nullptr = CSR level
   std::vector<CsrMatrix> pbar_;

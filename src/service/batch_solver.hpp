@@ -1,13 +1,13 @@
 #pragma once
 // Batched multi-RHS solves through one shared multigrid setup. All
 // right-hand sides share the (cached) hierarchy; each worker slot keeps one
-// V-cycle solver whose per-level workspaces are reused across every
+// RequestSolver whose per-level workspaces are reused across every
 // right-hand side that slot processes, so N solves cost one setup plus N
-// cycle loops and at most pool-size workspace allocations.
+// solves and at most pool-size workspace allocations.
 //
-// The engine is the multiplicative V(1,1)-cycle: it is deterministic, so a
-// batched solve is bitwise identical to the same solves run independently,
-// regardless of how the pool schedules them.
+// Every solve is deterministic, so a batched solve is bitwise identical to
+// the same solves run independently, regardless of how the pool schedules
+// them.
 
 #include <memory>
 #include <vector>
@@ -19,6 +19,25 @@
 namespace asyncmg {
 
 class SolverPool;
+
+/// How the service layer answers one request on a setup (SolveService and
+/// BatchSolver share it): when the setup's A_0 is symmetric, PCG
+/// preconditioned by one symmetric V(1,1) cycle (pcg_solve); otherwise
+/// stationary V(1,1) cycles (MultiplicativeMg::solve). SolveStats::cycles
+/// counts PCG iterations on the first path. Owns the cycle's workspaces,
+/// reused across solves; one solve at a time.
+class RequestSolver {
+ public:
+  explicit RequestSolver(const MgSetup& setup);
+
+  /// Solves A x = b from the x given; `stop` is polled before every
+  /// iteration or cycle.
+  SolveStats solve(const Vector& b, Vector& x, int t_max, double tol,
+                   const StopPredicate& stop = {});
+
+ private:
+  MultiplicativeMg mg_;
+};
 
 struct BatchOptions {
   int t_max = 100;

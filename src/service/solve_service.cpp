@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "service/background_setup.hpp"
-#include "sparse/vec.hpp"
 #include "telemetry/sink.hpp"
 #include "util/stats.hpp"
 
@@ -18,83 +17,50 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// V-cycle loop with a wall-clock deadline: stops after the cycle that
-/// crosses `deadline` (absolute, 0-disabled via has_deadline) and reports
-/// the best-so-far iterate in x.
-SolveStats solve_with_deadline(const MgSetup& s, const Vector& b, Vector& x,
-                               int t_max, double tol, bool has_deadline,
-                               Clock::time_point deadline, bool& timed_out) {
-  MultiplicativeMg mg(s);
-  SolveStats stats;
-  const double bnorm = norm2(b);
-  const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
-  Vector r;
-  const auto t0 = Clock::now();
-  s.a(0).residual(b, x, r);
-  stats.rel_res_history.push_back(norm2(r) * scale);
-  for (int t = 0; t < t_max; ++t) {
-    if (has_deadline && Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    mg.cycle(b, x);
-    ++stats.cycles;
-    s.a(0).residual(b, x, r);
-    const double rr = norm2(r) * scale;
-    stats.rel_res_history.push_back(rr);
-    if (tol > 0.0 && rr < tol) {
-      stats.converged = true;
-      break;
-    }
-  }
-  stats.seconds = seconds_since(t0);
-  return stats;
-}
-
-/// Cold-path loop against a BackgroundSetup: each iteration tries one
-/// cooperative builder step (try-lock; returns instantly while the lane is
-/// mid-step), re-snapshots when new levels landed, and cycles on the
-/// deepest ready prefix. Converges on whatever depth is available; once the
-/// build completes the loop runs the full cycle, LU coarse solve included.
+/// Cold-path solve against a BackgroundSetup: stationary cycles on the
+/// deepest ready prefix (PCG would see its preconditioner change as the
+/// hierarchy deepens). Before every cycle, after the deadline, the requester
+/// tries one cooperative builder step (try-lock; returns instantly while
+/// the lane is mid-step); a newly ready level ends the current
+/// MultiplicativeMg::solve, and the next one continues from the same
+/// iterate on the deeper prefix. Once the build completes the full cycle
+/// runs, LU coarse solve included.
 SolveStats solve_with_background(BackgroundSetup& bg, const Vector& b,
                                  Vector& x, int t_max, double tol,
-                                 bool has_deadline, Clock::time_point deadline,
-                                 bool& timed_out,
+                                 const StopPredicate& expired,
                                  std::size_t& partial_cycles) {
   SolveStats stats;
-  const double bnorm = norm2(b);
-  const double scale = bnorm > 0.0 ? 1.0 / bnorm : 1.0;
-  Vector r;
   const auto t0 = Clock::now();
-
   std::shared_ptr<const MgSetup> setup = bg.snapshot();
-  auto mg = std::make_unique<MultiplicativeMg>(*setup);
-  setup->a(0).residual(b, x, r);
-  stats.rel_res_history.push_back(norm2(r) * scale);
-  for (int t = 0; t < t_max; ++t) {
-    if (has_deadline && Clock::now() >= deadline) {
-      timed_out = true;
-      break;
-    }
+  bool deeper = false;    // the last stop was a newly ready level
+  bool switched = false;  // ...and its step already ran for the next cycle
+  const StopPredicate stop = [&] {
+    if (expired && expired()) return true;
+    if (std::exchange(switched, false)) return false;
     bg.advance();
-    if (bg.ready_levels() > setup->num_levels()) {
-      std::shared_ptr<const MgSetup> deeper = bg.snapshot();
-      if (deeper != setup) {
-        setup = std::move(deeper);
-        mg = std::make_unique<MultiplicativeMg>(*setup);
-      }
-    }
-    const bool partial = setup != bg.full();  // this cycle's hierarchy
-    mg->cycle(b, x);
-    ++stats.cycles;
-    if (partial) ++partial_cycles;
-    setup->a(0).residual(b, x, r);
-    const double rr = norm2(r) * scale;
-    stats.rel_res_history.push_back(rr);
-    if (tol > 0.0 && rr < tol) {
-      stats.converged = true;
+    deeper = bg.ready_levels() > setup->num_levels();
+    return deeper;
+  };
+  for (;;) {
+    MultiplicativeMg mg(*setup);
+    const bool partial = setup != bg.full();
+    deeper = false;
+    const SolveStats part = mg.solve(b, x, t_max - stats.cycles, tol, stop);
+    // A continuation starts from the iterate the last part ended on: skip
+    // its repeated initial residual.
+    const auto from = part.rel_res_history.begin() +
+                      (stats.rel_res_history.empty() ? 0 : 1);
+    stats.rel_res_history.insert(stats.rel_res_history.end(), from,
+                                 part.rel_res_history.end());
+    stats.cycles += part.cycles;
+    if (partial) partial_cycles += static_cast<std::size_t>(part.cycles);
+    if (!deeper) {
+      stats.converged = part.converged;
+      stats.stopped = part.stopped;
       break;
     }
+    setup = bg.snapshot();
+    switched = true;
   }
   stats.seconds = seconds_since(t0);
   return stats;
@@ -196,12 +162,15 @@ void SolveService::execute(
   try {
     resp.queue_seconds = seconds_since(submitted);
 
-    const bool has_deadline = ropts.timeout_seconds > 0.0;
-    const auto deadline =
-        submitted + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(ropts.timeout_seconds));
+    StopPredicate expired;  // the deadline; empty when there is none
+    if (ropts.timeout_seconds > 0.0) {
+      const auto deadline =
+          submitted + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(ropts.timeout_seconds));
+      expired = [deadline] { return Clock::now() >= deadline; };
+    }
 
-    if (has_deadline && Clock::now() >= deadline) {
+    if (expired && expired()) {
       // Expired while queued: the zero initial guess is the best-so-far
       // iterate, with exact relative residual 1. Skips the setup entirely.
       resp.x.assign(b.size(), 0.0);
@@ -233,10 +202,8 @@ void SolveService::execute(
       a = CsrMatrix();  // the setup/builder owns its own copy
 
       if (bg) {
-        resp.stats =
-            solve_with_background(*bg, b, resp.x, t_max, tol, has_deadline,
-                                  deadline, resp.timed_out,
-                                  resp.partial_cycles);
+        resp.stats = solve_with_background(*bg, b, resp.x, t_max, tol,
+                                           expired, resp.partial_cycles);
         resp.partial_setup = resp.partial_cycles > 0;
         // Register the finished setup so later requests are warm. If the
         // solve converged before the build did, a detached pool task
@@ -255,10 +222,11 @@ void SolveService::execute(
         partial_cycles_ += resp.partial_cycles;
         if (fell_back) ++setup_fallbacks_;
       } else {
-        resp.stats =
-            solve_with_deadline(*setup, b, resp.x, t_max, tol, has_deadline,
-                                deadline, resp.timed_out);
+        // Best-so-far on the deadline: the iterate the solve stopped at.
+        RequestSolver solver(*setup);
+        resp.stats = solver.solve(b, resp.x, t_max, tol, expired);
       }
+      resp.timed_out = resp.stats.stopped;
     }
   } catch (...) {
     error = std::current_exception();

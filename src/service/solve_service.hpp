@@ -55,7 +55,9 @@ struct ServiceOptions {
 };
 
 struct RequestOptions {
-  int t_max = 0;           // 0: service default
+  /// Iteration cap: PCG iterations on symmetric input, V-cycles otherwise
+  /// (RequestSolver). 0: service default.
+  int t_max = 0;
   double tol = 0.0;        // 0: service default
   /// Wall-clock budget in seconds from submission; 0 disables the deadline.
   double timeout_seconds = 0.0;

@@ -425,7 +425,52 @@ bool CsrMatrix::rows_sorted() const {
 
 bool CsrMatrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
-  return approx_equal(transpose(), tol);
+  const Index* const cols = col_idx_.data();
+  return with_values([&](const auto* av) {
+    // Compares the stored off-diagonals on one side of the diagonal with
+    // their mirrors a_ji, searched for in row j (0 when row j stores no
+    // column i): no transposed copy, no allocation. Counts the mirrors found
+    // and the entries on the other side.
+    std::size_t found = 0, others = 0;
+    const auto side_matches = [&](bool upper) {
+      for (Index i = 0; i < rows_; ++i) {
+        for (Index k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+          const Index j = cols[k];
+          if (j == i) continue;
+          if ((j > i) != upper) {
+            ++others;
+            continue;
+          }
+          const Index* const last = cols + row_ptr_[j + 1];
+          const Index* const hit = std::find(cols + row_ptr_[j], last, i);
+          double mirror = 0.0;
+          if (hit != last) {
+            ++found;
+            mirror = av[hit - cols];
+          }
+          if (std::abs(av[k] - mirror) > tol) return false;
+        }
+      }
+      return true;
+    };
+    if (!side_matches(/*upper=*/true)) return false;
+    // Without duplicate columns (strictly increasing rows) each mirror found
+    // is a distinct lower entry, so equal counts mean every lower entry was
+    // compared already. Otherwise the lower side needs its own pass.
+    if (found == others && rows_sorted()) return true;
+    return side_matches(/*upper=*/false);
+  });
+}
+
+double CsrMatrix::max_abs() const {
+  return with_values([&](const auto* av) {
+    double m = 0.0;
+    const auto nz = static_cast<std::size_t>(nnz());
+    for (std::size_t k = 0; k < nz; ++k) {
+      m = std::max(m, std::abs(static_cast<double>(av[k])));
+    }
+    return m;
+  });
 }
 
 std::string CsrMatrix::summary() const {

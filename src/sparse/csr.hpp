@@ -150,6 +150,9 @@ class CsrMatrix {
   /// Frobenius norm.
   double frobenius_norm() const;
 
+  /// Largest entry magnitude, max |a_ij| (0 for an empty matrix).
+  double max_abs() const;
+
   /// Structural + numerical equality within `tol` (same shape; entries
   /// compared densely per row, so differing sparsity with equal values is
   /// still equal).
@@ -158,7 +161,8 @@ class CsrMatrix {
   /// True when every row's column indices are strictly increasing.
   bool rows_sorted() const;
 
-  /// True when the sparsity pattern and values are symmetric within tol.
+  /// True when square and |a_ij - a_ji| <= tol for every stored entry (a
+  /// missing mirror counts as 0). No transposed copy, no allocation.
   bool is_symmetric(double tol = 1e-10) const;
 
   /// Human-readable one-line summary ("rows x cols, nnz=...").

@@ -387,6 +387,41 @@ TEST_P(EngineCycleIdentity, FusedMatchesReferenceBitwise) {
   expect_bitwise(xb, xa, "solve x");
 }
 
+// The zero-guess entry (PCG's preconditioner) skips cycle()'s residual
+// pass but must be the same cycle: precondition(r, z) equals cycle(r, x)
+// from x = 0, entry for entry, at every thread count -- also in place, with
+// r and z in the cycle's own level-0 slots as pcg_solve keeps them.
+TEST_P(EngineCycleIdentity, ZeroGuessEntryMatchesCycleFromZero) {
+  const CycleConfig cfg = GetParam();
+  Problem prob = make_laplace_27pt(13);
+  MgOptions mo;
+  mo.smoother.type = cfg.smoother;
+  mo.smoother.omega = 0.9;
+  mo.smoother.num_blocks = 3;
+  mo.engine.sell_min_rows = 1;
+  MgSetup s(std::move(prob.a), mo);
+  Rng rng(41);
+  const Vector r = random_vector(static_cast<std::size_t>(s.a(0).rows()), rng);
+
+  const int max_threads = omp_get_max_threads();
+  for (int nt : {1, 4}) {
+    if (nt > max_threads) continue;
+    omp_set_num_threads(nt);
+    MultiplicativeMg mg(s, cfg.symmetric, cfg.pre, cfg.post, cfg.gamma);
+    Vector x(r.size(), 0.0);
+    mg.cycle(r, x);
+    Vector z;
+    mg.precondition(r, z);
+    expect_bitwise(x, z, "precondition vs cycle from zero");
+    CycleWorkspace& ws = mg.workspace();
+    ws.r(0) = r;
+    mg.precondition(ws.r(0), ws.e(0));
+    expect_bitwise(x, ws.e(0), "in-place precondition vs cycle from zero");
+    expect_bitwise(r, ws.r(0), "precondition left r unchanged");
+  }
+  omp_set_num_threads(max_threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, EngineCycleIdentity,
     ::testing::Values(

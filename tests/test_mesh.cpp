@@ -228,7 +228,6 @@ TEST(Elasticity, MultiMaterialChangesStiffness) {
   // Diagonal entries in the stiff half exceed those in the soft half.
   const Index nx = 8, ny = 2, nz = 2;
   Problem p = make_elasticity_beam(nx, ny, nz);
-  const Grid3D nodes{nx + 1, ny + 1, nz + 1};
   // dof index of node (i,1,1), x-component; dof numbering skips the i=0
   // plane, so free node index = (i-1) + nx*(j + (ny+1)*k) ... recompute via
   // the same lexicographic rule used by the generator.

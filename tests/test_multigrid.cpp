@@ -95,12 +95,14 @@ TEST_P(MultSmootherTest, SolvesToTolerance) {
 INSTANTIATE_TEST_SUITE_P(
     AllSmoothers, MultSmootherTest,
     ::testing::Values(SmootherType::kWeightedJacobi, SmootherType::kL1Jacobi,
-                      SmootherType::kHybridJGS, SmootherType::kAsyncGS),
+                      SmootherType::kHybridJGS, SmootherType::kL1HybridJGS,
+                      SmootherType::kAsyncGS),
     [](const ::testing::TestParamInfo<SmootherType>& i) {
       switch (i.param) {
         case SmootherType::kWeightedJacobi: return "WJacobi";
         case SmootherType::kL1Jacobi: return "L1Jacobi";
         case SmootherType::kHybridJGS: return "HybridJGS";
+        case SmootherType::kL1HybridJGS: return "L1HybridJGS";
         case SmootherType::kAsyncGS: return "AsyncGS";
       }
       return "unknown";

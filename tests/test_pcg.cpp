@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "mesh/problems.hpp"
 #include "multigrid/pcg.hpp"
 #include "sparse/vec.hpp"
@@ -112,6 +114,83 @@ TEST(Pcg, MultaddSymmetrizedMatchesSymmetricVCycleCounts) {
   EXPECT_TRUE(s1.converged);
   EXPECT_TRUE(s2.converged);
   EXPECT_NEAR(s1.cycles, s2.cycles, 2);
+}
+
+// The setup-backed overload (the service's symmetric solve) applies A_0 on
+// the setup's backend and SELL form and keeps r, z and A p in the V-cycle's
+// level-0 slots; it must reproduce the CSR overload with the kSymmetricVCycle
+// preconditioner bit for bit.
+TEST(Pcg, SetupBackedMatchesCsrOverloadBitwise) {
+  Problem prob = make_laplace_7pt(10);
+  MgOptions mo;
+  mo.smoother.type = SmootherType::kWeightedJacobi;
+  mo.smoother.omega = 0.9;
+  mo.engine.sell_min_rows = 1;  // level 0 runs SELL
+  MgSetup setup(std::move(prob.a), mo);
+  ASSERT_NE(setup.sell(0), nullptr);
+  ASSERT_TRUE(setup.symmetric());
+  Rng rng(31);
+  const Vector b =
+      random_vector(static_cast<std::size_t>(setup.a(0).rows()), rng);
+  PcgOptions opts;
+  opts.tol = 1e-10;
+
+  Vector x_ref;
+  const SolveStats ref = pcg_solve(
+      setup.a(0), b, x_ref,
+      make_mg_preconditioner(setup, MgPreconditionerKind::kSymmetricVCycle),
+      opts);
+  MultiplicativeMg mg(setup, /*symmetric=*/true);
+  Vector x;
+  const SolveStats got = pcg_solve(mg, b, x, opts);
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.cycles, ref.cycles);
+  ASSERT_EQ(got.rel_res_history.size(), ref.rel_res_history.size());
+  for (std::size_t i = 0; i < ref.rel_res_history.size(); ++i) {
+    EXPECT_EQ(got.rel_res_history[i], ref.rel_res_history[i]) << i;
+  }
+  ASSERT_EQ(x.size(), x_ref.size());
+  for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], x_ref[i]) << i;
+}
+
+double true_rel_res(const CsrMatrix& a, const Vector& b, const Vector& x) {
+  Vector r;
+  a.residual(b, x, r);
+  return norm2(r) / norm2(b);
+}
+
+// An unreachable tolerance drives the recurrence residual far below the
+// attainable accuracy. It must neither count as convergence nor be
+// reported: the solve ends on the true residual.
+TEST(Pcg, UnreachableTolEndsOnTrueResidual) {
+  Fixture f;
+  MultiplicativeMg mg(*f.setup, /*symmetric=*/true);
+  PcgOptions opts;
+  opts.max_iterations = 200;
+  opts.tol = 1e-300;
+  Vector x;
+  const SolveStats st = pcg_solve(mg, f.b, x, opts);
+  EXPECT_FALSE(st.converged);
+  for (double v : st.rel_res_history) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_DOUBLE_EQ(st.final_rel_res(), true_rel_res(f.setup->a(0), f.b, x));
+  EXPECT_LT(st.final_rel_res(), 1e-10);
+}
+
+// The stop predicate is polled before every iteration; a stopped solve
+// keeps its iterate and ends on the true residual.
+TEST(Pcg, StopPredicateEndsOnTrueResidual) {
+  Fixture f;
+  MultiplicativeMg mg(*f.setup, /*symmetric=*/true);
+  int polls = 0;
+  Vector x;
+  const SolveStats st =
+      pcg_solve(mg, f.b, x, PcgOptions{}, [&polls] { return ++polls > 3; });
+  EXPECT_TRUE(st.stopped);
+  EXPECT_FALSE(st.converged);
+  EXPECT_EQ(st.cycles, 3);
+  ASSERT_EQ(st.rel_res_history.size(), 4u);
+  EXPECT_DOUBLE_EQ(st.final_rel_res(), true_rel_res(f.setup->a(0), f.b, x));
+  EXPECT_LT(st.final_rel_res(), st.rel_res_history.front());
 }
 
 TEST(Pcg, WorksOnElasticityWithUnknownBasedAmg) {

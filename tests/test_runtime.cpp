@@ -216,7 +216,9 @@ TEST(Runtime, TraceRecordsEveryCommit) {
   for (const TraceEvent& ev : rr.trace) {
     EXPECT_GE(ev.seconds, 0.0);
     auto it = last.find(ev.grid);
-    if (it != last.end()) EXPECT_GE(ev.seconds, it->second);
+    if (it != last.end()) {
+      EXPECT_GE(ev.seconds, it->second);
+    }
     last[ev.grid] = ev.seconds;
   }
   EXPECT_EQ(last.size(), rr.corrections.size());

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <cmath>
 #include <filesystem>
 #include <future>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "async/runtime.hpp"
 #include "mesh/problems.hpp"
 #include "multigrid/mult.hpp"
+#include "multigrid/pcg.hpp"
 #include "service/batch_solver.hpp"
 #include "service/fingerprint.hpp"
 #include "service/hierarchy_cache.hpp"
@@ -34,6 +36,53 @@ MgOptions test_mg_options() {
 Vector rhs_for(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   return random_vector(n, rng);
+}
+
+// Independent reference for the service layer's symmetric path: PCG through
+// the CSR overload, on the scalar backend's CSR kernels, preconditioned by
+// a separate symmetric V(1,1) built on the same setup.
+SolveStats pcg_reference(const MgSetup& setup, const Vector& b, Vector& x,
+                         int t_max, double tol) {
+  PcgOptions po;
+  po.max_iterations = t_max;
+  po.tol = tol;
+  return pcg_solve(
+      setup.a(0), b, x,
+      make_mg_preconditioner(setup, MgPreconditionerKind::kSymmetricVCycle),
+      po);
+}
+
+// Cycles the stationary V(1,1) solve needs for the same input; a solve that
+// took fewer steps ran PCG.
+int stationary_cycles(const MgSetup& setup, const Vector& b, int t_max,
+                      double tol) {
+  Vector x(b.size(), 0.0);
+  MultiplicativeMg mg(setup);
+  return mg.solve(b, x, t_max, tol).cycles;
+}
+
+// 7pt stencil on an n^3 grid with first-order upwinded convection along x:
+// a non-symmetric M-matrix.
+CsrMatrix upwind_7pt(Index n, double c) {
+  std::vector<Triplet> t;
+  const auto id = [n](Index i, Index j, Index k) {
+    return (k * n + j) * n + i;
+  };
+  for (Index k = 0; k < n; ++k) {
+    for (Index j = 0; j < n; ++j) {
+      for (Index i = 0; i < n; ++i) {
+        const Index row = id(i, j, k);
+        t.push_back({row, row, 6.0 + c});
+        if (i > 0) t.push_back({row, id(i - 1, j, k), -1.0 - c});
+        if (i + 1 < n) t.push_back({row, id(i + 1, j, k), -1.0});
+        if (j > 0) t.push_back({row, id(i, j - 1, k), -1.0});
+        if (j + 1 < n) t.push_back({row, id(i, j + 1, k), -1.0});
+        if (k > 0) t.push_back({row, id(i, j, k - 1), -1.0});
+        if (k + 1 < n) t.push_back({row, id(i, j, k + 1), -1.0});
+      }
+    }
+  }
+  return CsrMatrix::from_triplets(n * n * n, n * n * n, std::move(t));
 }
 
 // ---------------------------------------------------------------------------
@@ -323,13 +372,15 @@ TEST(BatchSolver, MatchesIndependentSolves) {
   const std::vector<BatchResult> got = batch.solve_all(rhs);
   ASSERT_EQ(got.size(), rhs.size());
 
+  ASSERT_TRUE(setup->symmetric());
   for (std::size_t i = 0; i < rhs.size(); ++i) {
     Vector x(n, 0.0);
-    MultiplicativeMg mg(*setup);
-    const SolveStats ref = mg.solve(rhs[i], x, bo.t_max, bo.tol);
+    const SolveStats ref = pcg_reference(*setup, rhs[i], x, bo.t_max, bo.tol);
     EXPECT_NEAR(got[i].stats.final_rel_res(), ref.final_rel_res(), 1e-12);
     EXPECT_LT(got[i].stats.final_rel_res(), 1e-5);
     for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(got[i].x[j], x[j], 1e-12);
+    EXPECT_LT(got[i].stats.cycles,
+              stationary_cycles(*setup, rhs[i], bo.t_max, bo.tol));
   }
 }
 
@@ -496,16 +547,16 @@ TEST(SolveService, ConcurrentClientsMatchIndependentSolves) {
 
   // Reference solves against the very setup the service cached.
   auto setup = svc.cache().get_or_build(p.a);
+  ASSERT_TRUE(setup->symmetric());
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kPerClient; ++i) {
       const SolveResponse got = futs[c][i].get();
+      const Vector b = rhs_for(n, static_cast<std::uint64_t>(c * 100 + i));
       Vector x(n, 0.0);
-      MultiplicativeMg mg(*setup);
-      const SolveStats ref =
-          mg.solve(rhs_for(n, static_cast<std::uint64_t>(c * 100 + i)), x, 30,
-                   1e-9);
+      const SolveStats ref = pcg_reference(*setup, b, x, 30, 1e-9);
       EXPECT_NEAR(got.stats.final_rel_res(), ref.final_rel_res(), 1e-12);
       for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(got.x[j], x[j], 1e-12);
+      EXPECT_LT(got.stats.cycles, stationary_cycles(*setup, b, 30, 1e-9));
     }
   }
   EXPECT_EQ(svc.stats().cache.setups_built, 1u);
@@ -536,19 +587,20 @@ TEST(SolveService, BatchedSolvesMatchIndependentUnderConcurrentClients) {
   }
 
   auto setup = svc.cache().get_or_build(p.a);
+  ASSERT_TRUE(setup->symmetric());
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(got[c].size(), static_cast<std::size_t>(kRhs));
     for (int i = 0; i < kRhs; ++i) {
+      const Vector b = rhs_for(n, static_cast<std::uint64_t>(c * 50 + i));
       Vector x(n, 0.0);
-      MultiplicativeMg mg(*setup);
-      const SolveStats ref =
-          mg.solve(rhs_for(n, static_cast<std::uint64_t>(c * 50 + i)), x,
-                   bo.t_max, bo.tol);
+      const SolveStats ref = pcg_reference(*setup, b, x, bo.t_max, bo.tol);
       EXPECT_NEAR(got[c][i].stats.final_rel_res(), ref.final_rel_res(),
                   1e-12);
       for (std::size_t j = 0; j < n; ++j) {
         EXPECT_NEAR(got[c][i].x[j], x[j], 1e-12);
       }
+      EXPECT_LT(got[c][i].stats.cycles,
+                stationary_cycles(*setup, b, bo.t_max, bo.tol));
     }
   }
   EXPECT_EQ(svc.stats().cache.setups_built, 1u);
@@ -597,6 +649,62 @@ TEST(SolveService, DeadlineExpiredInQueueShortCircuits) {
   EXPECT_DOUBLE_EQ(resp.stats.final_rel_res(), 1.0);
   // The short-circuit path never touches the cache.
   EXPECT_EQ(svc.stats().cache.misses, 0u);
+}
+
+// Non-symmetric input keeps the stationary V(1,1) solve: the service's
+// answers are MultiplicativeMg::solve's on the cached setup.
+TEST(SolveService, NonSymmetricInputTakesStationaryPath) {
+  SolveService svc(small_service_options());
+  const CsrMatrix a = upwind_7pt(8, 0.5);
+  const auto n = static_cast<std::size_t>(a.rows());
+
+  RequestOptions ro;
+  ro.t_max = 60;  // convection slows the V-cycle: ~28 cycles to 1e-9
+  std::vector<std::future<SolveResponse>> futs;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    futs.push_back(svc.submit(a, rhs_for(n, 300 + i), ro));
+  }
+  auto setup = svc.cache().get_or_build(a);
+  ASSERT_FALSE(setup->symmetric());
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const SolveResponse got = futs[i].get();
+    Vector x(n, 0.0);
+    MultiplicativeMg mg(*setup);
+    const SolveStats ref = mg.solve(rhs_for(n, 300 + i), x, ro.t_max, 1e-9);
+    EXPECT_TRUE(got.stats.converged);
+    EXPECT_EQ(got.stats.cycles, ref.cycles);
+    EXPECT_NEAR(got.stats.final_rel_res(), ref.final_rel_res(), 1e-12);
+    for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(got.x[j], x[j], 1e-12);
+  }
+}
+
+// A symmetric indefinite matrix (the 7pt Laplacian shifted past four of its
+// eigenvalues) takes the PCG path, where CG breaks down: the request ends
+// unconverged with a finite answer instead of throwing.
+TEST(SolveService, SymmetricIndefiniteInputStopsWithoutConverging) {
+  SolveService svc(small_service_options());
+  Problem p = make_laplace_7pt(8);
+  CsrMatrix a = p.a;
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto vals = a.values_mutable();
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (Index k = rp[i]; k < rp[i + 1]; ++k) {
+      if (ci[static_cast<std::size_t>(k)] == i) {
+        vals[static_cast<std::size_t>(k)] -= 1.0;
+      }
+    }
+  }
+  const auto n = static_cast<std::size_t>(a.rows());
+
+  SolveResponse resp;
+  ASSERT_NO_THROW(resp = svc.submit(a, rhs_for(n, 9)).get());
+  ASSERT_TRUE(svc.cache().get_or_build(a)->symmetric());
+  EXPECT_FALSE(resp.stats.converged);
+  EXPECT_FALSE(resp.timed_out);
+  EXPECT_TRUE(std::isfinite(resp.stats.final_rel_res()));
+  ASSERT_EQ(resp.x.size(), n);
+  for (double v : resp.x) ASSERT_TRUE(std::isfinite(v));
 }
 
 TEST(SolveService, BoundedAdmissionQueueRejectsOverload) {

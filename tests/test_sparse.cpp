@@ -140,6 +140,30 @@ TEST(Csr, SymmetryCheck) {
   EXPECT_FALSE(ns.is_symmetric());
 }
 
+// The one-pass check compares entries with their stored mirrors; an entry
+// without one must be caught on either side of the diagonal, and unsorted
+// or duplicated columns must not fool the mirror count.
+TEST(Csr, SymmetryCheckMirrorsWithoutTranspose) {
+  const CsrMatrix lower_only =
+      CsrMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+  EXPECT_FALSE(lower_only.is_symmetric());
+  // A one-sided entry within tol counts as its missing mirror's 0.
+  const CsrMatrix tiny = CsrMatrix::from_triplets(
+      2, 2, {{0, 0, 1.0}, {1, 0, 1e-14}, {1, 1, 1.0}});
+  EXPECT_TRUE(tiny.is_symmetric(1e-12));
+  EXPECT_FALSE(tiny.is_symmetric(1e-15));
+  EXPECT_FALSE(CsrMatrix(2, 3).is_symmetric());
+  // small_matrix() with row 1 stored in descending column order.
+  const CsrMatrix unsorted = CsrMatrix::from_csr(
+      3, 3, {0, 2, 5, 7}, {0, 1, 2, 1, 0, 1, 2},
+      {4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0});
+  EXPECT_TRUE(unsorted.is_symmetric());
+  // Row 0 stores (0,1) twice; (2,1) has no mirror.
+  const CsrMatrix dup = CsrMatrix::from_csr(
+      3, 3, {0, 2, 3, 4}, {1, 1, 0, 1}, {1.0, 1.0, 1.0, 5.0});
+  EXPECT_FALSE(dup.is_symmetric());
+}
+
 TEST(SpGemm, MultiplyMatchesDense) {
   Rng rng(31);
   const CsrMatrix a = random_sparse(10, 14, 0.3, rng);

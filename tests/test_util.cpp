@@ -342,7 +342,9 @@ TEST(Backoff, RejectsBadOptions) {
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_LT(t.seconds(), 1.0);
