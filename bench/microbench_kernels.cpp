@@ -270,8 +270,7 @@ void BM_SpGemmGalerkin(benchmark::State& state) {
   const CsrMatrix& a = matrix27(static_cast<int>(state.range(0)));
   const int threads = static_cast<int>(state.range(1));
   const CsrMatrix s = strength_matrix(a, 0.25);
-  Rng rng(5);
-  const Splitting split = coarsen_hmis(s, rng);
+  const Splitting split = coarsen_parallel(s, CoarsenParams{});
   const CsrMatrix p = interp_classical_modified(a, s, split);
   for (auto _ : state) {
     CsrMatrix rap = galerkin_product(a, p, threads);

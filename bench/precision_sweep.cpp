@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_host.hpp"
 #include "amg/precision.hpp"
 #include "service/hierarchy_cache.hpp"
 #include "telemetry/sink.hpp"
@@ -168,7 +169,8 @@ int main(int argc, char** argv) {
   out << "{\"bench\":\"precision_sweep\",\"problem\":\"27pt\",\"n\":" << n
       << ",\"dofs\":" << static_cast<std::int64_t>(n) * n * n
       << ",\"tol\":" << tol << ",\"cache_budget_bytes\":" << budget
-      << ",\"cache_matrices\":" << num_matrices << ",\"policies\":[";
+      << ",\"cache_matrices\":" << num_matrices
+      << ",\"host\":" << bench::host_json() << ",\"policies\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PolicyResult& r = results[i];
     if (i) out << ",";

@@ -1,27 +1,33 @@
 // AMG setup-phase thread-scaling bench: wall time of the full setup and a
-// per-phase breakdown (strength / coarsen / interp / RAP) as a function of
-// the setup thread count, plus a cold-request latency comparison with and
-// without the background setup pipeline. Writes a machine-readable summary
-// to --json (default BENCH_setup.json).
+// per-phase breakdown (strength / coarsen / aggressive / interp / RAP) as a
+// function of the setup thread count. Writes a machine-readable summary,
+// stamped with the host, to --json (default BENCH_setup.json).
 //
 // The per-phase numbers come from re-running the build loop phase by phase
 // through the public kernel APIs with the same options -- and, via
 // coarsen_level_seed, the exact same per-level splittings -- as
-// Hierarchy::build. Each level's four phase timings are committed together
+// Hierarchy::build. Each level's phase timings are committed together
 // only once the level completes, and the mirrored level count is checked
 // against the end-to-end build (exit 2 on mismatch): without that check a
 // level collapsing under aggressive coarsening lets a dangling RAP or
 // interp timing smear into the previous level's numbers.
 //
-// Determinism gate: at every thread count and level, the parallel C/F
-// splitting is compared bitwise against coarsen_parallel_oracle (and the
-// aggressive second stage against its own single-thread run). Any mismatch
-// makes the bench exit 1 -- CI treats parallel-coarsening determinism as a
-// hard failure, not a perf number.
+// The splitting is timed in two columns that cover different work:
+// `coarsen` is the first stage (coarsen_parallel), `aggressive` the
+// distance-2 second stage on the aggressive levels (coarsen_aggressive_
+// parallel, including its distance-2 strength pattern). `coarsen_oracle`
+// times the test-only naive serial rounds (tests/oracle) on the first
+// stage only, so it compares like for like with `coarsen`.
+//
+// Determinism gate: at every thread count and level, the first-stage
+// splitting is compared bitwise against the oracle, and the aggressive
+// second stage against its own single-thread run. Any mismatch makes the
+// bench exit 1 -- CI treats coarsening determinism as a hard failure, not
+// a perf number.
 //
 // Speedup is whatever the hardware gives: on a single-core container every
 // thread count measures ~1x, and that is reported honestly rather than
-// failing the run (the JSON carries hardware_threads for context).
+// failing the run (the host stamp carries hardware_threads for context).
 
 #include <algorithm>
 #include <fstream>
@@ -35,7 +41,8 @@
 #include "amg/interp.hpp"
 #include "amg/strength.hpp"
 #include "bench_common.hpp"
-#include "service/solve_service.hpp"
+#include "bench_host.hpp"
+#include "oracle/coarsen_oracle.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/timer.hpp"
 
@@ -44,8 +51,9 @@ namespace {
 
 struct PhaseTimes {
   double strength = 0.0;
-  double coarsen = 0.0;
-  double coarsen_oracle = 0.0;  // serial naive-rounds reference, untimed path
+  double coarsen = 0.0;         // first stage
+  double coarsen_oracle = 0.0;  // naive serial rounds on the first stage
+  double aggressive = 0.0;      // distance-2 second stage
   double interp = 0.0;
   double rap = 0.0;
   double total = 0.0;  // end-to-end Hierarchy::build, measured separately
@@ -98,21 +106,25 @@ PhaseTimes run_setup(const CsrMatrix& a_fine, const AmgOptions& opts) {
 
     timer.reset();
     Splitting split = coarsen_parallel(s, cp);
-    Splitting aggr_split;
-    if (aggressive) aggr_split = coarsen_aggressive_parallel(s, split, cp);
     const double t_coarsen = timer.seconds();
 
-    // Determinism gate: the timed parallel splitting against the naive
-    // serial oracle of the same rounds, and the aggressive stage against
-    // its single-thread self.
+    // Determinism gate: the timed first stage against the naive serial
+    // oracle of the same rounds (timed as its like-for-like column).
     timer.reset();
-    if (!same_splitting(split, coarsen_parallel_oracle(s, cp))) {
+    const Splitting oracle_split = oracle::coarsen_parallel_oracle(s, cp);
+    const double t_oracle = timer.seconds();
+    if (!same_splitting(split, oracle_split)) {
       std::cerr << "DETERMINISM FAILURE: coarsen_parallel != oracle at level "
                 << lvl << " (threads=" << opts.setup_threads << ")\n";
       pt.deterministic = false;
     }
-    pt.coarsen_oracle += timer.seconds();
+
+    double t_aggressive = 0.0;
     if (aggressive) {
+      timer.reset();
+      Splitting aggr_split = coarsen_aggressive_parallel(s, split, cp);
+      t_aggressive = timer.seconds();
+      // The aggressive stage against its single-thread self.
       CoarsenParams cp1 = cp;
       cp1.num_threads = 1;
       if (!same_splitting(aggr_split,
@@ -144,9 +156,11 @@ PhaseTimes run_setup(const CsrMatrix& a_fine, const AmgOptions& opts) {
     a = galerkin_product(a, p, opts.setup_threads);
     const double t_rap = timer.seconds();
 
-    // Level complete: commit all four phases together.
+    // Level complete: commit every phase together.
     pt.strength += t_strength;
     pt.coarsen += t_coarsen;
+    pt.coarsen_oracle += t_oracle;
+    pt.aggressive += t_aggressive;
     pt.interp += t_interp;
     pt.rap += t_rap;
     ++mirrored;
@@ -161,22 +175,6 @@ PhaseTimes run_setup(const CsrMatrix& a_fine, const AmgOptions& opts) {
     pt.attribution_ok = false;
   }
   return pt;
-}
-
-/// One cold request against a fresh SolveService; returns wall seconds of
-/// submit()..get() and reports the partial-cycle count through `resp`.
-double cold_request_seconds(const CsrMatrix& a, const Vector& b,
-                            std::size_t threads, bool background,
-                            SolveResponse& resp) {
-  ServiceOptions so;
-  so.num_threads = threads;
-  so.cache.mg =
-      bench::paper_mg_options(SmootherType::kWeightedJacobi, 0.9, 1);
-  so.background_setup = background;
-  SolveService svc(so);
-  Timer timer;
-  resp = svc.submit(a, b).get();
-  return timer.seconds();
 }
 
 }  // namespace
@@ -228,71 +226,50 @@ int main(int argc, char** argv) {
     std::cout << "  threads=" << t << ": total " << best.total << " s"
               << "  (strength " << best.strength << ", coarsen "
               << best.coarsen << " [oracle " << best.coarsen_oracle
-              << "], interp " << best.interp << ", RAP " << best.rap
+              << "], aggressive " << best.aggressive << ", interp "
+              << best.interp << ", RAP " << best.rap
               << ")  levels=" << best.levels << "\n";
   }
 
-  const double base = rows.empty() ? 0.0 : rows.front().best.total;
-  const double coarsen_base = rows.empty() ? 0.0 : rows.front().best.coarsen;
+  // Speedup of each row against the first --threads row.
+  const PhaseTimes base = rows.empty() ? PhaseTimes{} : rows.front().best;
+  auto speedup = [](double base_s, double s) {
+    return s > 0.0 ? base_s / s : 0.0;
+  };
   for (const Row& r : rows) {
     std::cout << "  speedup x" << r.threads << " = "
-              << (r.best.total > 0.0 ? base / r.best.total : 0.0)
-              << "  (coarsen "
-              << (r.best.coarsen > 0.0 ? coarsen_base / r.best.coarsen : 0.0)
-              << ")\n";
+              << speedup(base.total, r.best.total) << "  (coarsen "
+              << speedup(base.coarsen, r.best.coarsen) << ", aggressive "
+              << speedup(base.aggressive, r.best.aggressive) << ")\n";
   }
-
-  // Cold-request latency: the same matrix through a fresh service, blocking
-  // setup vs the background pipeline (partial cycles while levels land).
-  const std::size_t svc_threads =
-      static_cast<std::size_t>(threads.empty() ? 2 : threads.back());
-  const Vector b(static_cast<std::size_t>(a.rows()), 1.0);
-  SolveResponse blocking_resp;
-  SolveResponse background_resp;
-  const double blocking_s =
-      cold_request_seconds(a, b, svc_threads, false, blocking_resp);
-  const double background_s =
-      cold_request_seconds(a, b, svc_threads, true, background_resp);
-  std::cout << "  cold request: blocking " << blocking_s << " s ("
-            << blocking_resp.stats.cycles << " cycles), background "
-            << background_s << " s (" << background_resp.stats.cycles
-            << " cycles, " << background_resp.partial_cycles
-            << " on partial hierarchies)\n";
 
   std::ofstream out(json_path);
   out << "{\"bench\":\"setup_scaling\",\"problem\":\"27pt\",\"n\":" << n
       << ",\"dofs\":" << n * n * n << ",\"repeats\":" << repeats
       << ",\"aggressive\":" << aggressive
-      << ",\"hardware_threads\":" << hw
+      << ",\"host\":" << bench::host_json()
       << ",\"deterministic\":" << (deterministic ? "true" : "false")
       << ",\"runs\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     if (i) out << ",";
     out << "{\"threads\":" << r.threads << ",\"total_seconds\":"
-        << r.best.total << ",\"speedup\":"
-        << (r.best.total > 0.0 ? base / r.best.total : 0.0)
+        << r.best.total << ",\"speedup\":" << speedup(base.total, r.best.total)
         << ",\"levels\":" << r.best.levels
         << ",\"phases\":{\"strength\":" << r.best.strength << ",\"coarsen\":"
         << r.best.coarsen << ",\"coarsen_oracle\":" << r.best.coarsen_oracle
-        << ",\"interp\":" << r.best.interp << ",\"rap\":"
-        << r.best.rap << "}"
-        << ",\"coarsen_speedup\":"
-        << (r.best.coarsen > 0.0 ? coarsen_base / r.best.coarsen : 0.0)
-        << "}";
+        << ",\"aggressive\":" << r.best.aggressive << ",\"interp\":"
+        << r.best.interp << ",\"rap\":" << r.best.rap << "}"
+        << ",\"coarsen_speedup\":" << speedup(base.coarsen, r.best.coarsen)
+        << ",\"aggressive_speedup\":"
+        << speedup(base.aggressive, r.best.aggressive) << "}";
   }
-  out << "],\"cold_request\":{\"threads\":" << svc_threads
-      << ",\"blocking_seconds\":" << blocking_s
-      << ",\"blocking_cycles\":" << blocking_resp.stats.cycles
-      << ",\"background_seconds\":" << background_s
-      << ",\"background_cycles\":" << background_resp.stats.cycles
-      << ",\"background_partial_cycles\":" << background_resp.partial_cycles
-      << "}}\n";
+  out << "]}\n";
   std::cout << "\nwrote " << json_path << "\n";
 
   if (!deterministic) {
-    std::cerr << "FAILED: parallel coarsening disagreed with the serial "
-                 "oracle\n";
+    std::cerr << "FAILED: coarsening disagreed with the serial oracle or "
+                 "with its single-thread run\n";
     return 1;
   }
   if (!attribution_ok) {

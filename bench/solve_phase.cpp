@@ -29,6 +29,7 @@
 
 #include "backend/backend.hpp"
 #include "bench_common.hpp"
+#include "bench_host.hpp"
 #include "multigrid/pcg.hpp"
 #include "oracle/reference_cycle.hpp"
 #include "sparse/sellcs.hpp"
@@ -298,7 +299,7 @@ int main(int argc, char** argv) {
   std::ofstream out(json_path);
   out << "{\"bench\":\"solve_phase\",\"problem\":\"27pt\",\"cycles\":" << cycles
       << ",\"repeats\":" << repeats << ",\"smoke\":" << (smoke ? 1 : 0)
-      << ",\"runs\":[";
+      << ",\"host\":" << bench::host_json() << ",\"runs\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Measurement& m = rows[i];
     if (i) out << ",";

@@ -1,11 +1,11 @@
 #include "amg/coarsen.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "amg/strength.hpp"
 #include "sparse/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace asyncmg {
 
@@ -29,207 +29,6 @@ Splitting state_to_splitting(const std::vector<std::int8_t>& state) {
   return split;
 }
 
-}  // namespace
-
-Splitting coarsen_rs_first_pass(const CsrMatrix& s) {
-  const Index n = s.rows();
-  const CsrMatrix st = s.transpose();
-
-  std::vector<std::int8_t> state(static_cast<std::size_t>(n), kUndecided);
-  std::vector<Index> measure(static_cast<std::size_t>(n), 0);
-  for (Index i = 0; i < n; ++i) {
-    measure[static_cast<std::size_t>(i)] = st.row_ptr()[i + 1] - st.row_ptr()[i];
-  }
-
-  // Lazy max-heap of (measure, node); stale entries are skipped on pop.
-  using Entry = std::pair<Index, Index>;
-  std::priority_queue<Entry> heap;
-  Index undecided = 0;
-  for (Index i = 0; i < n; ++i) {
-    const bool isolated =
-        measure[static_cast<std::size_t>(i)] == 0 &&
-        s.row_ptr()[i + 1] == s.row_ptr()[i];
-    if (isolated) {
-      state[static_cast<std::size_t>(i)] = kF;  // no strong couplings at all
-    } else {
-      heap.push({measure[static_cast<std::size_t>(i)], i});
-      ++undecided;
-    }
-  }
-
-  auto bump = [&](Index i) {
-    heap.push({measure[static_cast<std::size_t>(i)], i});
-  };
-
-  while (undecided > 0) {
-    // Pop the highest-measure undecided point.
-    Index i = -1;
-    while (!heap.empty()) {
-      const auto [m, node] = heap.top();
-      heap.pop();
-      if (state[static_cast<std::size_t>(node)] == kUndecided &&
-          m == measure[static_cast<std::size_t>(node)]) {
-        i = node;
-        break;
-      }
-    }
-    if (i < 0) {
-      // All remaining undecided points have stale heap entries only; they
-      // have measure 0 and influence nobody: make them F.
-      for (Index j = 0; j < n; ++j) {
-        if (state[static_cast<std::size_t>(j)] == kUndecided) {
-          state[static_cast<std::size_t>(j)] = kF;
-          --undecided;
-        }
-      }
-      break;
-    }
-
-    state[static_cast<std::size_t>(i)] = kC;
-    --undecided;
-    // Points that strongly depend on the new C point become F; their other
-    // strong influences gain importance.
-    for_row(st, i, [&](Index j) {
-      if (state[static_cast<std::size_t>(j)] != kUndecided) return;
-      state[static_cast<std::size_t>(j)] = kF;
-      --undecided;
-      for_row(s, j, [&](Index k) {
-        if (state[static_cast<std::size_t>(k)] == kUndecided) {
-          ++measure[static_cast<std::size_t>(k)];
-          bump(k);
-        }
-      });
-    });
-    // Strong influences of the new C point become slightly less urgent.
-    for_row(s, i, [&](Index j) {
-      if (state[static_cast<std::size_t>(j)] == kUndecided) {
-        if (measure[static_cast<std::size_t>(j)] > 0) {
-          --measure[static_cast<std::size_t>(j)];
-        }
-        bump(j);
-      }
-    });
-  }
-
-  return state_to_splitting(state);
-}
-
-Splitting coarsen_pmis_weighted(const CsrMatrix& s,
-                                const std::vector<double>& weights,
-                                const Splitting& init) {
-  const Index n = s.rows();
-  if (weights.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("coarsen_pmis: weights size mismatch");
-  }
-  const CsrMatrix st = s.transpose();
-
-  std::vector<std::int8_t> state(static_cast<std::size_t>(n), kUndecided);
-  std::vector<double> measure(static_cast<std::size_t>(n), 0.0);
-  for (Index i = 0; i < n; ++i) {
-    const Index infl = st.row_ptr()[i + 1] - st.row_ptr()[i];
-    measure[static_cast<std::size_t>(i)] =
-        static_cast<double>(infl) + weights[static_cast<std::size_t>(i)];
-  }
-
-  Index undecided = n;
-  auto decide = [&](Index i, std::int8_t what) {
-    state[static_cast<std::size_t>(i)] = what;
-    --undecided;
-  };
-
-  // Seed points forced coarse (HMIS).
-  if (!init.empty()) {
-    if (init.size() != static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("coarsen_pmis: init size mismatch");
-    }
-    for (Index i = 0; i < n; ++i) {
-      if (init[static_cast<std::size_t>(i)] == PointType::kCoarse) {
-        decide(i, kC);
-      }
-    }
-    for (Index i = 0; i < n; ++i) {
-      if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-      bool dep_on_c = false;
-      for_row(s, i, [&](Index j) {
-        if (state[static_cast<std::size_t>(j)] == kC) dep_on_c = true;
-      });
-      if (dep_on_c) decide(i, kF);
-    }
-  }
-
-  // Isolated points (no strong couplings either way) are F.
-  for (Index i = 0; i < n; ++i) {
-    if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-    const bool no_dep = s.row_ptr()[i + 1] == s.row_ptr()[i];
-    const bool no_infl = st.row_ptr()[i + 1] == st.row_ptr()[i];
-    if (no_dep && no_infl) decide(i, kF);
-  }
-
-  std::vector<Index> new_c;
-  while (undecided > 0) {
-    new_c.clear();
-    // Local maxima of the measure over undecided symmetrized neighborhoods.
-    for (Index i = 0; i < n; ++i) {
-      if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-      bool is_max = true;
-      auto check = [&](Index j) {
-        if (!is_max || state[static_cast<std::size_t>(j)] != kUndecided) return;
-        const double mi = measure[static_cast<std::size_t>(i)];
-        const double mj = measure[static_cast<std::size_t>(j)];
-        if (mj > mi || (mj == mi && j < i)) is_max = false;
-      };
-      for_row(s, i, check);
-      for_row(st, i, check);
-      if (is_max) new_c.push_back(i);
-    }
-    if (new_c.empty()) {
-      throw std::runtime_error("coarsen_pmis: stalled (no local maxima)");
-    }
-    for (Index i : new_c) decide(i, kC);
-    // Undecided points strongly depending on a new C point become F.
-    for (Index i : new_c) {
-      for_row(st, i, [&](Index j) {
-        if (state[static_cast<std::size_t>(j)] == kUndecided) decide(j, kF);
-      });
-    }
-  }
-
-  return state_to_splitting(state);
-}
-
-Splitting coarsen_pmis(const CsrMatrix& s, Rng& rng, const Splitting& init) {
-  // Weight draws in row order, exactly the sequence the original in-place
-  // measure initialization consumed.
-  std::vector<double> weights(static_cast<std::size_t>(s.rows()));
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = rng.next_double();
-  }
-  return coarsen_pmis_weighted(s, weights, init);
-}
-
-Splitting coarsen_hmis(const CsrMatrix& s, Rng& rng) {
-  const Splitting rs = coarsen_rs_first_pass(s);
-  return coarsen_pmis(s, rng, rs);
-}
-
-Splitting coarsen(CoarsenAlgo algo, const CsrMatrix& s, Rng& rng) {
-  switch (algo) {
-    case CoarsenAlgo::kRS:
-      return coarsen_rs_first_pass(s);
-    case CoarsenAlgo::kPMIS:
-      return coarsen_pmis(s, rng);
-    case CoarsenAlgo::kHMIS:
-      return coarsen_hmis(s, rng);
-  }
-  throw std::invalid_argument("unknown coarsening algorithm");
-}
-
-// --------------------------------------------------------------------------
-// Row-parallel path.
-// --------------------------------------------------------------------------
-
-namespace {
-
 /// Stateless per-row hash weight in [0, 1): a salted splitmix64 draw, so
 /// any thread can compute any row's weight independently.
 double hash_weight(std::uint64_t seed, Index i) {
@@ -251,10 +50,11 @@ void compact_frontier(std::vector<Index>& frontier,
   frontier.resize(w);
 }
 
-/// Parallel PMIS rounds: identical round semantics to the serial body in
-/// coarsen_pmis_weighted, restructured so every write is owner-computes
-/// (state[i] and flag[i] are written only by the iteration that owns row i)
-/// and each round touches only the frontier of still-undecided rows.
+/// Parallel PMIS rounds: each round selects the (measure, smaller-index-wins)
+/// local maxima and demotes their strong dependents. Every write is
+/// owner-computes (state[i] and flag[i] are written only by the iteration
+/// that owns row i), and each round touches only the frontier of
+/// still-undecided rows.
 Splitting pmis_rounds_parallel(const CsrMatrix& s, const CsrMatrix& st,
                                const std::vector<double>& weights,
                                const Splitting& init, int num_threads) {
@@ -448,7 +248,8 @@ Splitting rs_rounds_parallel(const CsrMatrix& s, const CsrMatrix& st,
 
     // Phase 4: clear this round's flags before rows leave the frontier, so
     // the next round's gathers see only that round's decisions (the naive
-    // reference zero-fills whole arrays; only frontier rows can be set).
+    // oracle in tests/oracle zero-fills whole arrays; only frontier rows can
+    // be set).
 #pragma omp parallel for schedule(static) num_threads(nt)
     for (std::int64_t f = 0; f < fn; ++f) {
       const Index i = frontier[static_cast<std::size_t>(f)];
@@ -464,14 +265,9 @@ Splitting rs_rounds_parallel(const CsrMatrix& s, const CsrMatrix& st,
 
 }  // namespace
 
-std::vector<double> coarsen_tie_weights(CoarsenWeights mode, Index n,
-                                        std::uint64_t seed, int num_threads) {
+std::vector<double> coarsen_tie_weights(Index n, std::uint64_t seed,
+                                        int num_threads) {
   std::vector<double> w(static_cast<std::size_t>(n));
-  if (mode == CoarsenWeights::kRngSequence) {
-    Rng rng(seed);
-    for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_double();
-    return w;
-  }
   const int nt =
       n >= kSetupSerialCutoff ? resolve_setup_threads(num_threads) : 1;
 #pragma omp parallel for schedule(static) num_threads(nt)
@@ -487,11 +283,6 @@ std::uint64_t coarsen_level_seed(std::uint64_t seed, Index level) {
   return splitmix64(state);
 }
 
-Splitting coarsen_rs_rounds(const CsrMatrix& s, int num_threads) {
-  const CsrMatrix st = s.transpose(num_threads);
-  return rs_rounds_parallel(s, st, num_threads);
-}
-
 Splitting coarsen_parallel(const CsrMatrix& s, const CoarsenParams& p) {
   const CsrMatrix st = s.transpose(p.num_threads);
   switch (p.algo) {
@@ -499,120 +290,22 @@ Splitting coarsen_parallel(const CsrMatrix& s, const CoarsenParams& p) {
       return rs_rounds_parallel(s, st, p.num_threads);
     case CoarsenAlgo::kPMIS: {
       const std::vector<double> w =
-          coarsen_tie_weights(p.weights, s.rows(), p.seed, p.num_threads);
+          coarsen_tie_weights(s.rows(), p.seed, p.num_threads);
       return pmis_rounds_parallel(s, st, w, {}, p.num_threads);
     }
     case CoarsenAlgo::kHMIS: {
       const Splitting seeds = rs_rounds_parallel(s, st, p.num_threads);
       const std::vector<double> w =
-          coarsen_tie_weights(p.weights, s.rows(), p.seed, p.num_threads);
+          coarsen_tie_weights(s.rows(), p.seed, p.num_threads);
       return pmis_rounds_parallel(s, st, w, seeds, p.num_threads);
     }
   }
   throw std::invalid_argument("unknown coarsening algorithm");
 }
 
-namespace {
-
-/// Naive serial RS rounds: full sweeps over all rows, no frontier. Mirrors
-/// rs_rounds_parallel's phase semantics exactly.
-Splitting rs_rounds_naive(const CsrMatrix& s, const CsrMatrix& st) {
-  const Index n = s.rows();
-  std::vector<std::int8_t> state(static_cast<std::size_t>(n), kUndecided);
-  std::vector<Index> measure(static_cast<std::size_t>(n), 0);
-  Index undecided = 0;
-  for (Index i = 0; i < n; ++i) {
-    const Index infl = st.row_ptr()[i + 1] - st.row_ptr()[i];
-    measure[static_cast<std::size_t>(i)] = infl;
-    const bool isolated = infl == 0 && s.row_ptr()[i + 1] == s.row_ptr()[i];
-    if (isolated) {
-      state[static_cast<std::size_t>(i)] = kF;
-    } else {
-      ++undecided;
-    }
-  }
-
-  std::vector<std::int8_t> newc(static_cast<std::size_t>(n));
-  std::vector<std::int8_t> newf(static_cast<std::size_t>(n));
-  while (undecided > 0) {
-    std::fill(newc.begin(), newc.end(), std::int8_t{0});
-    std::fill(newf.begin(), newf.end(), std::int8_t{0});
-    for (Index i = 0; i < n; ++i) {
-      if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-      bool is_max = true;
-      auto check = [&](Index j) {
-        if (!is_max || state[static_cast<std::size_t>(j)] != kUndecided) return;
-        const Index mi = measure[static_cast<std::size_t>(i)];
-        const Index mj = measure[static_cast<std::size_t>(j)];
-        if (mj > mi || (mj == mi && j < i)) is_max = false;
-      };
-      for_row(s, i, check);
-      for_row(st, i, check);
-      newc[static_cast<std::size_t>(i)] = is_max ? 1 : 0;
-    }
-    for (Index i = 0; i < n; ++i) {
-      if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-      if (newc[static_cast<std::size_t>(i)] != 0) {
-        state[static_cast<std::size_t>(i)] = kC;
-        --undecided;
-        continue;
-      }
-      bool dep = false;
-      for_row(s, i, [&](Index j) {
-        if (newc[static_cast<std::size_t>(j)] != 0) dep = true;
-      });
-      if (dep) {
-        newf[static_cast<std::size_t>(i)] = 1;
-        state[static_cast<std::size_t>(i)] = kF;
-        --undecided;
-      }
-    }
-    for (Index i = 0; i < n; ++i) {
-      if (state[static_cast<std::size_t>(i)] != kUndecided) continue;
-      Index inc = 0;
-      Index dec = 0;
-      for_row(st, i, [&](Index j) {
-        inc += (newf[static_cast<std::size_t>(j)] != 0) ? 1 : 0;
-        dec += (newc[static_cast<std::size_t>(j)] != 0) ? 1 : 0;
-      });
-      Index m = measure[static_cast<std::size_t>(i)];
-      m = std::max(Index{0}, m - dec) + inc;
-      measure[static_cast<std::size_t>(i)] = m;
-    }
-  }
-  return state_to_splitting(state);
-}
-
-}  // namespace
-
-Splitting coarsen_parallel_oracle(const CsrMatrix& s, const CoarsenParams& p) {
-  const CsrMatrix st = s.transpose();
-  switch (p.algo) {
-    case CoarsenAlgo::kRS:
-      return rs_rounds_naive(s, st);
-    case CoarsenAlgo::kPMIS: {
-      const std::vector<double> w =
-          coarsen_tie_weights(p.weights, s.rows(), p.seed, 1);
-      return coarsen_pmis_weighted(s, w);
-    }
-    case CoarsenAlgo::kHMIS: {
-      const Splitting seeds = rs_rounds_naive(s, st);
-      const std::vector<double> w =
-          coarsen_tie_weights(p.weights, s.rows(), p.seed, 1);
-      return coarsen_pmis_weighted(s, w, seeds);
-    }
-  }
-  throw std::invalid_argument("unknown coarsening algorithm");
-}
-
-namespace {
-
-/// Shared second-stage plumbing: extract the C-point distance-2 subgraph
-/// (deterministic two-pass parallel assembly), coarsen it with `sub_coarsen`,
-/// and map the surviving C points back to the fine numbering.
-template <typename SubCoarsen>
-Splitting aggressive_stage(const CsrMatrix& s, const Splitting& first,
-                           int num_threads, SubCoarsen&& sub_coarsen) {
+Splitting coarsen_aggressive_parallel(const CsrMatrix& s,
+                                      const Splitting& first,
+                                      const CoarsenParams& p) {
   const Index n = s.rows();
   std::vector<Index> cnum = coarse_numbering(first);
   const Index nc = count_coarse(first);
@@ -624,12 +317,14 @@ Splitting aggressive_stage(const CsrMatrix& s, const Splitting& first,
     }
   }
 
-  const CsrMatrix s2 = strength_distance2(s, num_threads);
+  // The C-point distance-2 subgraph, assembled in two deterministic
+  // parallel passes.
+  const CsrMatrix s2 = strength_distance2(s, p.num_threads);
   std::vector<Index> row_ptr;
   std::vector<Index> col_idx;
   std::vector<double> values;
   assemble_rows_blocked(
-      nc, num_threads, "coarsen_aggressive", row_ptr, col_idx, values, [&] {
+      nc, p.num_threads, "coarsen_aggressive", row_ptr, col_idx, values, [&] {
         return [&](Index ic, std::vector<Index>& cols,
                    std::vector<double>& vals) {
           const Index i = cinv[static_cast<std::size_t>(ic)];
@@ -645,8 +340,12 @@ Splitting aggressive_stage(const CsrMatrix& s, const Splitting& first,
   const CsrMatrix sub = CsrMatrix::from_csr(
       nc, nc, std::move(row_ptr), std::move(col_idx), std::move(values));
 
-  const Splitting sub_split = sub_coarsen(sub);
+  CoarsenParams sub_p = p;
+  // Salt the seed so the second stage draws independent tie-break weights.
+  sub_p.seed = p.seed ^ 0xa5a5a5a55a5a5a5aull;
+  const Splitting sub_split = coarsen_parallel(sub, sub_p);
 
+  // Map the surviving C points back to the fine numbering.
   Splitting out(static_cast<std::size_t>(n), PointType::kFine);
   for (Index ic = 0; ic < nc; ++ic) {
     if (sub_split[static_cast<std::size_t>(ic)] == PointType::kCoarse) {
@@ -655,27 +354,6 @@ Splitting aggressive_stage(const CsrMatrix& s, const Splitting& first,
     }
   }
   return out;
-}
-
-}  // namespace
-
-Splitting coarsen_aggressive(CoarsenAlgo algo, const CsrMatrix& s,
-                             const Splitting& first, Rng& rng,
-                             int num_threads) {
-  return aggressive_stage(s, first, num_threads, [&](const CsrMatrix& sub) {
-    return coarsen(algo, sub, rng);
-  });
-}
-
-Splitting coarsen_aggressive_parallel(const CsrMatrix& s,
-                                      const Splitting& first,
-                                      const CoarsenParams& p) {
-  CoarsenParams sub_p = p;
-  // Salt the seed so the second stage draws independent tie-break weights.
-  sub_p.seed = p.seed ^ 0xa5a5a5a55a5a5a5aull;
-  return aggressive_stage(s, first, p.num_threads, [&](const CsrMatrix& sub) {
-    return coarsen_parallel(sub, sub_p);
-  });
 }
 
 Index count_coarse(const Splitting& split) {

@@ -1,30 +1,20 @@
 #pragma once
-// Coarse/fine splitting algorithms: classical Ruge-Stuben first pass, PMIS,
-// and HMIS (RS first pass feeding PMIS), plus a distance-2 "aggressive"
-// second stage. These mirror the BoomerAMG options the paper selects
-// ("HMIS coarsening with one/two aggressive levels").
+// Coarse/fine splitting algorithms: a Ruge-Stuben first pass, PMIS, and
+// HMIS (RS first pass feeding PMIS), plus a distance-2 "aggressive" second
+// stage. These mirror the BoomerAMG options the paper selects ("HMIS
+// coarsening with one/two aggressive levels").
 //
-// Two implementations coexist (DESIGN.md section 13):
-//
-//   serial oracle   the original sequential algorithms, kept verbatim:
-//                   heap-driven RS first pass and the round-based PMIS with
-//                   rng-sequence tie-break weights. Selected by
-//                   AmgOptions::coarsen_mode = CoarsenMode::kSerialOracle.
-//
-//   row-parallel    Luby-style rounds over the strength graph with
-//                   per-round frontier sets, hash-based deterministic
-//                   tie-break weights, and owner-computes writes only.
-//                   The C/F splitting is bit-identical for every thread
-//                   count, and equals coarsen_parallel_oracle (a naive
-//                   serial implementation of the same rounds) exactly.
-//                   For PMIS with kRngSequence weights it is additionally
-//                   bit-identical to the verbatim serial coarsen_pmis.
+// Every algorithm runs as Luby-style rounds over the strength graph
+// (DESIGN.md section 13): per-round frontier sets, hash-based deterministic
+// tie-break weights, and owner-computes writes only. The C/F splitting is
+// bit-identical for every thread count. The test-only oracle library
+// (tests/oracle) holds a naive serial implementation of the same rounds
+// that the tests and bench/setup_scaling compare against bitwise.
 
 #include <cstdint>
 #include <vector>
 
 #include "sparse/csr.hpp"
-#include "util/rng.hpp"
 
 namespace asyncmg {
 
@@ -33,17 +23,12 @@ using Splitting = std::vector<PointType>;
 
 enum class CoarsenAlgo { kRS, kPMIS, kHMIS };
 
-/// How Hierarchy::build runs the C/F splitting (see header comment).
-enum class CoarsenMode { kSerialOracle, kParallel };
+/// Source of the random tie-break weights of the independent-set rounds.
+/// kHash derives weight[i] from splitmix64(seed, i), computable row-parallel
+/// with no serial dependency; it is the only source.
+enum class CoarsenWeights { kHash };
 
-/// Source of the random tie-break weights of the parallel independent-set
-/// rounds. kHash derives weight[i] from splitmix64(seed, i) -- computable
-/// row-parallel with no serial dependency. kRngSequence draws them from one
-/// xoshiro stream in row order (a cheap O(n) serial pass), reproducing the
-/// exact weights of the verbatim serial PMIS.
-enum class CoarsenWeights { kHash, kRngSequence };
-
-/// Configuration of one parallel C/F splitting run.
+/// Configuration of one C/F splitting run.
 struct CoarsenParams {
   CoarsenAlgo algo = CoarsenAlgo::kHMIS;
   CoarsenWeights weights = CoarsenWeights::kHash;
@@ -53,81 +38,29 @@ struct CoarsenParams {
   int num_threads = 0;
 };
 
-// --------------------------------------------------------------------------
-// Serial oracle algorithms (original code, kept verbatim).
-// --------------------------------------------------------------------------
-
-/// Classical Ruge-Stuben first pass. Measures are the number of points each
-/// point strongly influences; deterministic given the matrix.
-Splitting coarsen_rs_first_pass(const CsrMatrix& s);
-
-/// PMIS: parallel maximal independent set with randomized tie-breaking.
-/// `init` optionally seeds points as already-coarse (used by HMIS); pass an
-/// empty vector otherwise.
-Splitting coarsen_pmis(const CsrMatrix& s, Rng& rng,
-                       const Splitting& init = {});
-
-/// PMIS rounds with an explicit per-row tie-break weight array (the same
-/// serial body coarsen_pmis runs after drawing its weights). The parallel
-/// path is verified bitwise against this with matching weights.
-Splitting coarsen_pmis_weighted(const CsrMatrix& s,
-                                const std::vector<double>& weights,
-                                const Splitting& init = {});
-
-/// HMIS: RS first pass, whose C points seed PMIS.
-Splitting coarsen_hmis(const CsrMatrix& s, Rng& rng);
-
-/// Dispatch on the algorithm enum (serial oracle path).
-Splitting coarsen(CoarsenAlgo algo, const CsrMatrix& s, Rng& rng);
-
-/// Aggressive coarsening stage: re-coarsens the C points of `first` using
-/// distance-2 strength, demoting most of them to F. Returns the combined
-/// splitting (C set is a subset of first's C set). `num_threads` only
-/// parallelizes the distance-2 strength pattern; the splitting itself is
-/// serial and identical for every thread count.
-Splitting coarsen_aggressive(CoarsenAlgo algo, const CsrMatrix& s,
-                             const Splitting& first, Rng& rng,
-                             int num_threads = 0);
-
-// --------------------------------------------------------------------------
-// Row-parallel algorithms.
-// --------------------------------------------------------------------------
-
-/// Per-row random tie-break weights in [0, 1). kHash is row-parallel;
-/// kRngSequence reproduces the serial PMIS draws (infl + next_double order).
-std::vector<double> coarsen_tie_weights(CoarsenWeights mode, Index n,
-                                        std::uint64_t seed,
+/// Per-row random tie-break weights in [0, 1), computed row-parallel.
+std::vector<double> coarsen_tie_weights(Index n, std::uint64_t seed,
                                         int num_threads = 0);
 
 /// Per-level salt Hierarchy::build applies to AmgOptions::seed before each
-/// parallel splitting, so every level draws an independent deterministic
-/// weight stream. Public so harnesses mirroring the build loop phase by
-/// phase (bench/setup_scaling) reproduce the exact same splittings.
+/// splitting, so every level draws an independent deterministic weight
+/// stream. Public so harnesses mirroring the build loop phase by phase
+/// (bench/setup_scaling, perfbench) reproduce the exact same splittings.
 std::uint64_t coarsen_level_seed(std::uint64_t seed, Index level);
 
-/// Round-based Ruge-Stuben first pass: per round, every undecided point
-/// that is a strict (measure, index) local maximum over its undecided
-/// symmetrized strong neighborhood becomes C; points strongly depending on
-/// a new C point become F; integer measures are then updated in gather form
-/// (m = max(0, m - #new-C influences) + #new-F dependents). Deterministic
-/// for every thread count. Output differs from the sequential heap greedy
-/// (coarsen_rs_first_pass) but satisfies the same first-pass contract:
-/// every non-isolated F point strongly depends on a C point.
-Splitting coarsen_rs_rounds(const CsrMatrix& s, int num_threads = 0);
-
-/// Full parallel C/F splitting: kPMIS runs weighted PMIS rounds, kRS the
-/// round-based first pass, kHMIS the round-based first pass feeding PMIS.
-/// Bit-identical across thread counts and to coarsen_parallel_oracle.
+/// C/F splitting: kPMIS runs weighted PMIS rounds; kRS the round-based
+/// first pass (per round, every undecided point that is a strict
+/// (measure, index) local maximum over its undecided symmetrized strong
+/// neighborhood becomes C, points strongly depending on a new C point
+/// become F, and integer measures are updated in gather form); kHMIS the
+/// round-based first pass feeding PMIS. Every non-isolated F point
+/// strongly depends on a C point. Bit-identical across thread counts.
 Splitting coarsen_parallel(const CsrMatrix& s, const CoarsenParams& p);
 
-/// Naive serial reference of coarsen_parallel: same round semantics written
-/// as plain full-sweep loops (no frontier, no OpenMP). The bitwise oracle
-/// of the parallel implementation in tests and the bench gate.
-Splitting coarsen_parallel_oracle(const CsrMatrix& s, const CoarsenParams& p);
-
-/// Aggressive (distance-2) second stage on the parallel path: deterministic
-/// two-pass parallel subgraph extraction over the first-stage C points, then
-/// coarsen_parallel on the subgraph with a salted seed.
+/// Aggressive (distance-2) second stage: deterministic two-pass parallel
+/// subgraph extraction over the first-stage C points, then
+/// coarsen_parallel on the subgraph with a salted seed. Returns the
+/// combined splitting, whose C set is a subset of first's.
 Splitting coarsen_aggressive_parallel(const CsrMatrix& s,
                                       const Splitting& first,
                                       const CoarsenParams& p);

@@ -8,7 +8,7 @@
 namespace asyncmg {
 
 HierarchyBuilder::HierarchyBuilder(CsrMatrix a_fine, const AmgOptions& opts)
-    : opts_(opts), rng_(opts.seed) {
+    : opts_(opts) {
   levels_.push_back(AmgLevel{std::move(a_fine), {}, {}});
 
   // Per-dof function map for unknown-based AMG; carried to coarse levels
@@ -40,22 +40,13 @@ bool HierarchyBuilder::step() {
                                              opts_.setup_threads);
   const bool aggressive =
       lvl_ < static_cast<Index>(opts_.num_aggressive_levels);
-  Splitting split;
-  if (opts_.coarsen_mode == CoarsenMode::kSerialOracle) {
-    split = coarsen(opts_.coarsening, s, rng_);
-    if (aggressive) {
-      split = coarsen_aggressive(opts_.coarsening, s, split, rng_,
-                                 opts_.setup_threads);
-    }
-  } else {
-    CoarsenParams cp;
-    cp.algo = opts_.coarsening;
-    cp.weights = opts_.coarsen_weights;
-    cp.seed = coarsen_level_seed(opts_.seed, lvl_);
-    cp.num_threads = opts_.setup_threads;
-    split = coarsen_parallel(s, cp);
-    if (aggressive) split = coarsen_aggressive_parallel(s, split, cp);
-  }
+  CoarsenParams cp;
+  cp.algo = opts_.coarsening;
+  cp.weights = opts_.coarsen_weights;
+  cp.seed = coarsen_level_seed(opts_.seed, lvl_);
+  cp.num_threads = opts_.setup_threads;
+  Splitting split = coarsen_parallel(s, cp);
+  if (aggressive) split = coarsen_aggressive_parallel(s, split, cp);
 
   const Index nc = count_coarse(split);
   if (nc == 0 || nc >= n ||
@@ -89,20 +80,6 @@ bool HierarchyBuilder::step() {
   levels_.push_back(AmgLevel{std::move(ac), {}, {}});
   ++lvl_;
   return !done_;
-}
-
-Hierarchy HierarchyBuilder::snapshot_prefix(std::size_t k) const {
-  if (k < 1 || k > levels_.size()) {
-    throw std::invalid_argument("snapshot_prefix: bad level count");
-  }
-  std::vector<AmgLevel> pre(levels_.begin(),
-                            levels_.begin() + static_cast<std::ptrdiff_t>(k));
-  // The snapshot's coarsest level is a working level mid-coarsening: drop
-  // its (not yet existing or pending) interpolation and splitting so it
-  // validates as a coarsest level.
-  pre.back().p = CsrMatrix{};
-  pre.back().split = Splitting{};
-  return Hierarchy::from_levels(std::move(pre));
 }
 
 Hierarchy HierarchyBuilder::finish() {

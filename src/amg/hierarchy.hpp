@@ -2,7 +2,9 @@
 // AMG setup phase: builds the grid hierarchy (A_k, P_{k+1}^k) from a fine
 // matrix, mirroring the BoomerAMG options the paper uses (HMIS coarsening,
 // aggressive coarsening on the finest level(s), classical modified
-// interpolation, Galerkin coarse operators).
+// interpolation, Galerkin coarse operators). There is one build path,
+// HierarchyBuilder, and it produces a bit-identical hierarchy for every
+// setup_threads value (DESIGN.md sections 7 and 13).
 
 #include <cstdint>
 #include <string>
@@ -24,15 +26,10 @@ struct AmgOptions {
   /// components. Applied on the finest level only (coarse dofs lose the
   /// component structure under C-point renumbering).
   int num_functions = 1;
+  /// C/F splitting (coarsen.hpp): row-parallel rounds, bit-identical for
+  /// every setup_threads value.
   CoarsenAlgo coarsening = CoarsenAlgo::kHMIS;
-  /// C/F splitting implementation (coarsen.hpp). kParallel (default) runs
-  /// the row-parallel frontier rounds, bit-identical for every
-  /// setup_threads value; kSerialOracle runs the original sequential
-  /// algorithms (heap RS, rng-sequence PMIS) kept verbatim as the oracle.
-  /// The two modes produce different (both valid) hierarchies.
-  CoarsenMode coarsen_mode = CoarsenMode::kParallel;
-  /// Tie-break weight source of the parallel rounds (ignored by the serial
-  /// oracle). kHash has no serial dependency at all.
+  /// Tie-break weight source of the splitting rounds (kHash, the only one).
   CoarsenWeights coarsen_weights = CoarsenWeights::kHash;
   InterpAlgo interpolation = InterpAlgo::kClassicalModified;
   /// Aggressive (distance-2) coarsening is applied on this many of the
@@ -99,38 +96,19 @@ class Hierarchy {
   std::vector<AmgLevel> levels_;
 };
 
-/// Resumable level-by-level setup (DESIGN.md section 13). Each step() runs
+/// Level-by-level setup, the one way a hierarchy is built. Each step() runs
 /// one coarsening iteration: strength + C/F splitting + interpolation +
-/// Galerkin product, appending one coarse level. The background setup
-/// pipeline drives steps on pool lanes and serves truncated snapshots of
-/// the finished prefix; finish() is bit-identical to Hierarchy::build
-/// (which delegates here), including the end-of-build precision demotion.
-///
-/// Not thread-safe: callers serialize step()/finish() against
-/// snapshot_prefix() externally (BackgroundSetup holds the lock).
+/// Galerkin product, appending one coarse level. Hierarchy::build is
+/// finish() on a fresh builder; harnesses that time or replay the build
+/// level by level (perfbench's amg probe) drive step() themselves. Not
+/// thread-safe.
 class HierarchyBuilder {
  public:
   HierarchyBuilder(CsrMatrix a_fine, const AmgOptions& opts = {});
 
-  /// True once no further coarse level will be appended.
-  bool done() const { return done_; }
-
-  /// Number of levels currently built (>= 1 from construction on).
-  std::size_t levels_built() const { return levels_.size(); }
-
-  /// Rows of the current coarsest level (the next step coarsens it).
-  Index coarsest_rows() const { return levels_.back().a.rows(); }
-
   /// Builds one more coarse level. Returns false when the hierarchy is
   /// complete (and from then on). Stored values stay fp64 until finish().
   bool step();
-
-  /// Copies the first `k` finished levels (1 <= k <= levels_built()) into a
-  /// standalone truncated hierarchy: the k-th level becomes a temporary
-  /// coarsest (its pending interpolation is dropped). Values are the
-  /// builder's working fp64 state; the precision policy only applies to the
-  /// finished hierarchy.
-  Hierarchy snapshot_prefix(std::size_t k) const;
 
   /// Runs any remaining steps, applies the precision policy, and returns
   /// the finished hierarchy. The builder is consumed.
@@ -138,7 +116,6 @@ class HierarchyBuilder {
 
  private:
   AmgOptions opts_;
-  Rng rng_;                 // serial-oracle tie-break stream
   std::vector<AmgLevel> levels_;
   std::vector<int> funcs_;  // unknown-based AMG component map
   Index lvl_ = 0;

@@ -71,9 +71,6 @@ RuntimeResult run_shared_memory(const AdditiveCorrector& corrector,
   sh.x = &x;
   sh.opts = opts;
   sh.num_grids = corrector.num_grids();
-  if (opts.active_grids > 0 && opts.active_grids < sh.num_grids) {
-    sh.num_grids = opts.active_grids;
-  }
   sh.num_threads = opts.num_threads;
   sh.counts = std::make_unique<std::atomic<int>[]>(sh.num_grids);
   sh.dead = std::make_unique<std::atomic<bool>[]>(sh.num_grids);

@@ -60,12 +60,6 @@ struct RuntimeOptions {
   bool residual_based = false;  // r-Multadd
   int t_max = 20;
   std::size_t num_threads = 4;
-  /// Restrict the solve to the first `active_grids` grids (0 = all). Teams
-  /// are built only for the active prefix, so fine grids start correcting
-  /// while deeper levels are still under construction (the background setup
-  /// pipeline's truncated-cycle mode). Grid g only ever touches levels g
-  /// and g+1 of its (fully built) setup, so any prefix is safe.
-  std::size_t active_grids = 0;
   /// Record a per-correction commit trace (grid id + seconds since the
   /// solve started; in scripted mode `seconds` is the time *instant* of the
   /// commit instead, making traces reproducible). Costs one clock read per

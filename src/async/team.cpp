@@ -260,12 +260,9 @@ std::vector<Team> build_teams(const Shared& sh) {
 
   std::vector<Team> teams;
   if (threads >= grids) {
-    // One team per grid, threads balanced by work. Only the active prefix
-    // gets teams, so its grids share the whole thread budget.
-    std::vector<double> work = sh.corr->work();
-    work.resize(grids);
+    // One team per grid, threads balanced by work.
     const std::vector<std::size_t> counts =
-        assign_threads_to_grids(work, threads);
+        assign_threads_to_grids(sh.corr->work(), threads);
     const std::vector<Range> ranges = thread_ranges(counts);
     teams.resize(grids);
     for (std::size_t k = 0; k < grids; ++k) {

@@ -32,7 +32,6 @@ MultiplicativeMg::MultiplicativeMg(const MgSetup& setup, bool symmetric,
       pre_sweeps_(pre_sweeps),
       post_sweeps_(post_sweeps),
       gamma_(gamma),
-      active_(setup.num_levels()),
       ws_(setup) {
   if (pre_sweeps < 0 || post_sweeps < 0 || pre_sweeps + post_sweeps == 0) {
     throw std::invalid_argument(
@@ -128,20 +127,11 @@ void MultiplicativeMg::coarse_corrections(std::size_t k) {
   }
 }
 
-void MultiplicativeMg::set_active_levels(std::size_t n) {
-  if (n < 1 || n > s_->num_levels()) {
-    throw std::invalid_argument("set_active_levels: out of range");
-  }
-  active_ = n;
-}
-
 void MultiplicativeMg::level_solve(std::size_t k) {
-  const std::size_t coarsest = active_ - 1;
-  if (k == coarsest) {
-    // Exact solve when available, a smoothing sweep otherwise. A truncated
-    // cycle's temporary coarsest never owns the LU, so it smooths.
+  if (k + 1 == s_->num_levels()) {
+    // Exact solve when available, a smoothing sweep otherwise.
     pb(CyclePhase::kCoarseSolve, k);
-    if (active_ == s_->num_levels() && !s_->coarse_solver().empty()) {
+    if (!s_->coarse_solver().empty()) {
       s_->coarse_solver().solve(ws_.r(k), ws_.e(k));
     } else {
       s_->smoother(k).apply_zero(ws_.r(k), ws_.e(k));

@@ -49,14 +49,6 @@ class MultiplicativeMg {
   /// object's cycle() calls.
   void set_telemetry(TelemetrySink* sink, std::size_t tid = 0);
 
-  /// Truncate the cycle at the first `n` levels (1 <= n <= num_levels):
-  /// level n-1 acts as a temporary coarsest, solved with its smoother's
-  /// zero-guess apply (the dense LU only ever belongs to the true coarsest
-  /// level). The background setup pipeline deepens this as coarse levels
-  /// finish; n = num_levels restores the full cycle.
-  void set_active_levels(std::size_t n);
-  std::size_t active_levels() const { return active_; }
-
   const MgSetup& setup() const { return *s_; }
   bool symmetric() const { return symmetric_; }
 
@@ -100,7 +92,6 @@ class MultiplicativeMg {
   int pre_sweeps_;
   int post_sweeps_;
   int gamma_ = 1;
-  std::size_t active_;  // cycle depth; num_levels unless truncated
   // Per-level scratch arena reused across cycles (no allocations inside a
   // cycle).
   CycleWorkspace ws_;

@@ -60,8 +60,10 @@ std::shared_ptr<const MgSetup> HierarchyCache::get_or_build(
   return get_or_build(a, matrix_fingerprint(a), was_hit);
 }
 
-std::shared_ptr<const MgSetup> HierarchyCache::resolve_locked(
-    const MatrixFingerprint& key, bool* was_hit) {
+std::shared_ptr<const MgSetup> HierarchyCache::get_or_build(
+    const CsrMatrix& a, const MatrixFingerprint& key, bool* was_hit) {
+  const std::lock_guard<std::mutex> g(mu_);
+
   if (auto it = map_.find(key); it != map_.end()) {
     ++stats_.hits;
     if (was_hit) *was_hit = true;
@@ -84,59 +86,29 @@ std::shared_ptr<const MgSetup> HierarchyCache::resolve_locked(
       ++stats_.spill_loads;
       cache_mark(opts_.telemetry, EventKind::kCacheSpillLoad,
                  "cache.spill_loads", bytes.size());
-      add_entry_locked(key, setup);
     } else {
-      spilled_.erase(sp);  // file vanished; caller falls back to a build
+      spilled_.erase(sp);  // file vanished; fall through to a full build
     }
   }
-  return setup;
-}
+  if (!setup) {
+    setup = std::make_shared<const MgSetup>(
+        Hierarchy::build(a, opts_.mg.amg), opts_.mg);
+    ++stats_.setups_built;
+    if (opts_.telemetry != nullptr && opts_.telemetry->enabled()) {
+      opts_.telemetry->metrics().counter("cache.setups_built").add(1);
+    }
+  }
 
-void HierarchyCache::add_entry_locked(const MatrixFingerprint& key,
-                                      std::shared_ptr<const MgSetup> setup) {
   Entry e;
-  e.setup = std::move(setup);
-  e.bytes = estimate_setup_bytes(*e.setup);
+  e.setup = setup;
+  e.bytes = estimate_setup_bytes(*setup);
   lru_.push_front(key);
   e.lru_it = lru_.begin();
   stats_.resident_bytes += e.bytes;
   map_.emplace(key, std::move(e));
   stats_.resident_entries = map_.size();
   evict_to_budget();
-}
-
-std::shared_ptr<const MgSetup> HierarchyCache::get_or_build(
-    const CsrMatrix& a, const MatrixFingerprint& key, bool* was_hit) {
-  const std::lock_guard<std::mutex> g(mu_);
-
-  if (std::shared_ptr<const MgSetup> setup = resolve_locked(key, was_hit)) {
-    return setup;
-  }
-  auto setup = std::make_shared<const MgSetup>(
-      Hierarchy::build(a, opts_.mg.amg), opts_.mg);
-  ++stats_.setups_built;
-  if (opts_.telemetry != nullptr && opts_.telemetry->enabled()) {
-    opts_.telemetry->metrics().counter("cache.setups_built").add(1);
-  }
-  add_entry_locked(key, setup);
   return setup;
-}
-
-std::shared_ptr<const MgSetup> HierarchyCache::lookup(
-    const MatrixFingerprint& key, bool* was_hit) {
-  const std::lock_guard<std::mutex> g(mu_);
-  return resolve_locked(key, was_hit);
-}
-
-void HierarchyCache::insert(const MatrixFingerprint& key,
-                            std::shared_ptr<const MgSetup> setup) {
-  const std::lock_guard<std::mutex> g(mu_);
-  if (map_.contains(key)) return;  // a concurrent request won the race
-  ++stats_.setups_built;
-  if (opts_.telemetry != nullptr && opts_.telemetry->enabled()) {
-    opts_.telemetry->metrics().counter("cache.setups_built").add(1);
-  }
-  add_entry_locked(key, std::move(setup));
 }
 
 void HierarchyCache::evict_to_budget() {

@@ -84,19 +84,6 @@ class HierarchyCache {
                                               const MatrixFingerprint& key,
                                               bool* was_hit = nullptr);
 
-  /// Cache-only resolution: returns the resident (or spill-reloaded) setup,
-  /// or nullptr without ever building. Hit/miss/spill accounting matches
-  /// get_or_build. The background setup pipeline uses this so a cold miss
-  /// starts a resumable build instead of a blocking one.
-  std::shared_ptr<const MgSetup> lookup(const MatrixFingerprint& key,
-                                        bool* was_hit = nullptr);
-
-  /// Registers an externally built setup (a finished background build)
-  /// under `key`, counting it as a built setup. No-op when already
-  /// resident (a concurrent request for the same matrix won the race).
-  void insert(const MatrixFingerprint& key,
-              std::shared_ptr<const MgSetup> setup);
-
   HierarchyCacheStats stats() const;
 
   /// Drops every resident entry (spilling if configured).
@@ -111,14 +98,6 @@ class HierarchyCache {
     std::list<MatrixFingerprint>::iterator lru_it;
   };
 
-  /// Resident or spill-reloaded setup for `key` with hit/miss accounting;
-  /// nullptr when a build is needed. Caller holds mu_.
-  std::shared_ptr<const MgSetup> resolve_locked(const MatrixFingerprint& key,
-                                                bool* was_hit);
-  /// Inserts a resolved setup as the most-recent entry and evicts to
-  /// budget. Caller holds mu_.
-  void add_entry_locked(const MatrixFingerprint& key,
-                        std::shared_ptr<const MgSetup> setup);
   /// Drops LRU entries until the budget holds (keeps >= 1 entry). Caller
   /// holds mu_.
   void evict_to_budget();

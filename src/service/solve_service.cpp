@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "service/background_setup.hpp"
 #include "telemetry/sink.hpp"
 #include "util/stats.hpp"
 
@@ -17,55 +16,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Cold-path solve against a BackgroundSetup: stationary cycles on the
-/// deepest ready prefix (PCG would see its preconditioner change as the
-/// hierarchy deepens). Before every cycle, after the deadline, the requester
-/// tries one cooperative builder step (try-lock; returns instantly while
-/// the lane is mid-step); a newly ready level ends the current
-/// MultiplicativeMg::solve, and the next one continues from the same
-/// iterate on the deeper prefix. Once the build completes the full cycle
-/// runs, LU coarse solve included.
-SolveStats solve_with_background(BackgroundSetup& bg, const Vector& b,
-                                 Vector& x, int t_max, double tol,
-                                 const StopPredicate& expired,
-                                 std::size_t& partial_cycles) {
-  SolveStats stats;
-  const auto t0 = Clock::now();
-  std::shared_ptr<const MgSetup> setup = bg.snapshot();
-  bool deeper = false;    // the last stop was a newly ready level
-  bool switched = false;  // ...and its step already ran for the next cycle
-  const StopPredicate stop = [&] {
-    if (expired && expired()) return true;
-    if (std::exchange(switched, false)) return false;
-    bg.advance();
-    deeper = bg.ready_levels() > setup->num_levels();
-    return deeper;
-  };
-  for (;;) {
-    MultiplicativeMg mg(*setup);
-    const bool partial = setup != bg.full();
-    deeper = false;
-    const SolveStats part = mg.solve(b, x, t_max - stats.cycles, tol, stop);
-    // A continuation starts from the iterate the last part ended on: skip
-    // its repeated initial residual.
-    const auto from = part.rel_res_history.begin() +
-                      (stats.rel_res_history.empty() ? 0 : 1);
-    stats.rel_res_history.insert(stats.rel_res_history.end(), from,
-                                 part.rel_res_history.end());
-    stats.cycles += part.cycles;
-    if (partial) partial_cycles += static_cast<std::size_t>(part.cycles);
-    if (!deeper) {
-      stats.converged = part.converged;
-      stats.stopped = part.stopped;
-      break;
-    }
-    setup = bg.snapshot();
-    switched = true;
-  }
-  stats.seconds = seconds_since(t0);
-  return stats;
-}
-
 }  // namespace
 
 std::string ServiceStats::to_json() const {
@@ -77,10 +27,6 @@ std::string ServiceStats::to_json() const {
     << "\"rejected\":" << rejected << ","
     << "\"timed_out\":" << timed_out << ","
     << "\"queue_depth\":" << queue_depth << ","
-    << "\"background\":{"
-    << "\"partial_solves\":" << partial_solves << ","
-    << "\"partial_cycles\":" << partial_cycles << ","
-    << "\"setup_fallbacks\":" << setup_fallbacks << "},"
     << "\"cache\":{"
     << "\"hits\":" << cache.hits << ","
     << "\"misses\":" << cache.misses << ","
@@ -181,51 +127,12 @@ void SolveService::execute(
       const double tol = ropts.tol > 0.0 ? ropts.tol : opts_.default_tol;
       resp.x.assign(b.size(), 0.0);
 
-      std::shared_ptr<BackgroundSetup> bg;
-      std::shared_ptr<const MgSetup> setup;
-      MatrixFingerprint key{};
-      if (opts_.background_setup) {
-        key = matrix_fingerprint(a);
-        setup = cache_->lookup(key, &resp.cache_hit);
-        if (!setup) {
-          BackgroundSetupOptions bo;
-          bo.mg = opts_.cache.mg;
-          bo.pool = pool_.get();
-          bo.telemetry = opts_.telemetry;
-          bo.fail_after_levels = opts_.background_fail_after_levels;
-          bg = std::make_shared<BackgroundSetup>(std::move(a), bo);
-          bg->start();
-        }
-      } else {
-        setup = cache_->get_or_build(a, &resp.cache_hit);
-      }
-      a = CsrMatrix();  // the setup/builder owns its own copy
-
-      if (bg) {
-        resp.stats = solve_with_background(*bg, b, resp.x, t_max, tol,
-                                           expired, resp.partial_cycles);
-        resp.partial_setup = resp.partial_cycles > 0;
-        // Register the finished setup so later requests are warm. If the
-        // solve converged before the build did, a detached pool task
-        // finishes it -- pool tasks may block on the step lock (that holder
-        // is making progress), just never on the pool itself.
-        if (std::shared_ptr<const MgSetup> built = bg->full()) {
-          cache_->insert(key, std::move(built));
-        } else {
-          pool_->post([bg, key, cache = cache_.get()]() {
-            cache->insert(key, bg->wait_full());
-          });
-        }
-        const bool fell_back = bg->fell_back();
-        const std::lock_guard<std::mutex> g(stats_mu_);
-        if (resp.partial_setup) ++partial_solves_;
-        partial_cycles_ += resp.partial_cycles;
-        if (fell_back) ++setup_fallbacks_;
-      } else {
-        // Best-so-far on the deadline: the iterate the solve stopped at.
-        RequestSolver solver(*setup);
-        resp.stats = solver.solve(b, resp.x, t_max, tol, expired);
-      }
+      std::shared_ptr<const MgSetup> setup =
+          cache_->get_or_build(a, &resp.cache_hit);
+      a = CsrMatrix();  // the setup owns its own copy
+      // Best-so-far on the deadline: the iterate the solve stopped at.
+      RequestSolver solver(*setup);
+      resp.stats = solver.solve(b, resp.x, t_max, tol, expired);
       resp.timed_out = resp.stats.stopped;
     }
   } catch (...) {
@@ -277,9 +184,6 @@ ServiceStats SolveService::stats() const {
     s.rejected = rejected_;
     s.timed_out = timed_out_;
     s.queue_depth = in_flight_;
-    s.partial_solves = partial_solves_;
-    s.partial_cycles = partial_cycles_;
-    s.setup_fallbacks = setup_fallbacks_;
     lat = latencies_;
   }
   s.cache = cache_->stats();

@@ -42,16 +42,6 @@ struct ServiceOptions {
   /// latency histogram, and request counters. Not owned; must outlive the
   /// service. nullptr = off.
   TelemetrySink* telemetry = nullptr;
-  /// Cold-cache requests build the hierarchy level-by-level on a background
-  /// pool lane and start cycling on the finished prefix immediately
-  /// (truncated cycles, smoothed temporary coarsest), deepening as levels
-  /// land; the finished setup is then registered in the cache. Warm
-  /// requests are unaffected. See service/background_setup.hpp.
-  bool background_setup = false;
-  /// Test hook forwarded to BackgroundSetupOptions::fail_after_levels: the
-  /// background lane dies after this many levels (-1 = never), exercising
-  /// the requester-takeover fallback.
-  int background_fail_after_levels = -1;
 };
 
 struct RequestOptions {
@@ -69,11 +59,6 @@ struct SolveResponse {
   bool timed_out = false;
   /// True when the setup was served from cache (no AMG setup phase ran).
   bool cache_hit = false;
-  /// True when at least one cycle ran on a partially built hierarchy
-  /// (background-setup cold requests only).
-  bool partial_setup = false;
-  /// Cycles served on truncated (not yet fully built) hierarchies.
-  std::size_t partial_cycles = 0;
   /// Seconds the request spent queued before its solve started.
   double queue_seconds = 0.0;
 };
@@ -89,11 +74,6 @@ struct ServiceStats {
   std::uint64_t rejected = 0;
   std::uint64_t timed_out = 0;
   std::size_t queue_depth = 0;  // admitted, not yet finished
-  // Background setup pipeline: requests that cycled on a partial
-  // hierarchy, the cycles they ran there, and lane-death fallbacks.
-  std::uint64_t partial_solves = 0;
-  std::uint64_t partial_cycles = 0;
-  std::uint64_t setup_fallbacks = 0;
   HierarchyCacheStats cache;
   // Submit-to-completion latency over completed requests, seconds.
   double latency_p50 = 0.0;
@@ -149,9 +129,6 @@ class SolveService {
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t timed_out_ = 0;
-  std::uint64_t partial_solves_ = 0;
-  std::uint64_t partial_cycles_ = 0;
-  std::uint64_t setup_fallbacks_ = 0;
   std::size_t in_flight_ = 0;
   std::vector<double> latencies_;
   // Destroyed first: pool shutdown waits for tasks, which touch the members

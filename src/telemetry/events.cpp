@@ -39,10 +39,6 @@ const char* event_name(EventKind k) {
       return "shard-drop";
     case EventKind::kLevelPrecision:
       return "level-precision";
-    case EventKind::kLevelReady:
-      return "level-ready";
-    case EventKind::kSetupFallback:
-      return "setup-fallback";
     case EventKind::kBackendSelect:
       return "backend-select";
   }

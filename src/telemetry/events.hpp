@@ -44,9 +44,6 @@ enum class EventKind : std::uint8_t {
   // attach and only for levels stored below fp64, so all-fp64 traces (the
   // golden fixtures) are unchanged.
   kLevelPrecision,  // a = level, b = Precision enum value of the operator
-  // Background setup pipeline (service/background_setup.hpp).
-  kLevelReady,      // a = level index now built, b = rows of that level
-  kSetupFallback,   // a = levels built when the lane died, b = 0
   // Kernel backend selection (backend/backend.hpp). Emitted once per solver
   // attach and only when the resolved backend is not the scalar oracle, so
   // scalar-only traces (the golden fixtures) are unchanged.

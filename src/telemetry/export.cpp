@@ -162,16 +162,6 @@ std::string chrome_trace_json(const std::vector<DrainedEvent>& events,
           << ",\"args\":{\"level\":" << e.a << ",\"precision\":\""
           << precision_name(static_cast<Precision>(e.b)) << "\"}";
         break;
-      case EventKind::kLevelReady:
-        o << "\"name\":\"level-ready\",\"cat\":\"setup\",\"ph\":\"i\","
-          << "\"s\":\"t\",\"ts\":" << ts << ",\"pid\":1,\"tid\":" << track
-          << ",\"args\":{\"level\":" << e.a << ",\"rows\":" << e.b << "}";
-        break;
-      case EventKind::kSetupFallback:
-        o << "\"name\":\"setup-fallback\",\"cat\":\"setup\",\"ph\":\"i\","
-          << "\"s\":\"t\",\"ts\":" << ts << ",\"pid\":1,\"tid\":" << track
-          << ",\"args\":{\"levels_built\":" << e.a << "}";
-        break;
       case EventKind::kBackendSelect:
         o << "\"name\":\"backend-select\",\"cat\":\"backend\",\"ph\":\"i\","
           << "\"s\":\"t\",\"ts\":" << ts << ",\"pid\":1,\"tid\":" << track

@@ -1,8 +1,12 @@
 // Unit tests for the AMG setup substrate: strength of connection,
 // coarse/fine splitting invariants, interpolation properties, hierarchy
-// construction.
+// construction (one-shot and step by step).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "amg/coarsen.hpp"
 #include "amg/hierarchy.hpp"
@@ -94,13 +98,20 @@ void check_c_independent(const CsrMatrix& s, const Splitting& split) {
   }
 }
 
+/// Splitting parameters for the production coarsening with a per-test seed.
+CoarsenParams params(CoarsenAlgo algo, std::uint64_t seed) {
+  CoarsenParams p;
+  p.algo = algo;
+  p.seed = seed;
+  return p;
+}
+
 class CoarsenAlgoTest : public ::testing::TestWithParam<CoarsenAlgo> {};
 
 TEST_P(CoarsenAlgoTest, FPointsCoveredOn7pt) {
   Problem prob = make_laplace_7pt(8);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(5);
-  const Splitting split = coarsen(GetParam(), s, rng);
+  const Splitting split = coarsen_parallel(s, params(GetParam(), 5));
   const Index nc = count_coarse(split);
   EXPECT_GT(nc, 0);
   EXPECT_LT(nc, prob.a.rows());
@@ -110,8 +121,7 @@ TEST_P(CoarsenAlgoTest, FPointsCoveredOn7pt) {
 TEST_P(CoarsenAlgoTest, CoarsensAnisotropic) {
   Problem prob = make_laplace_7pt_anisotropic(8, 100.0);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(6);
-  const Splitting split = coarsen(GetParam(), s, rng);
+  const Splitting split = coarsen_parallel(s, params(GetParam(), 6));
   const Index nc = count_coarse(split);
   EXPECT_GT(nc, 0);
   EXPECT_LT(nc, prob.a.rows());
@@ -134,17 +144,16 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, CoarsenAlgoTest,
 TEST(Coarsen, PmisCIndependent) {
   Problem prob = make_laplace_27pt(6);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(7);
-  const Splitting split = coarsen_pmis(s, rng);
+  const Splitting split = coarsen_parallel(s, params(CoarsenAlgo::kPMIS, 7));
   check_c_independent(s, split);
 }
 
 TEST(Coarsen, AggressiveCoarsensFurther) {
   Problem prob = make_laplace_7pt(8);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(8);
-  const Splitting first = coarsen_hmis(s, rng);
-  const Splitting agg = coarsen_aggressive(CoarsenAlgo::kHMIS, s, first, rng);
+  const CoarsenParams cp = params(CoarsenAlgo::kHMIS, 8);
+  const Splitting first = coarsen_parallel(s, cp);
+  const Splitting agg = coarsen_aggressive_parallel(s, first, cp);
   const Index nc1 = count_coarse(first);
   const Index nc2 = count_coarse(agg);
   EXPECT_GT(nc2, 0);
@@ -161,10 +170,9 @@ TEST(Coarsen, IsolatedPointsBecomeFine) {
   // 3 disconnected points: no strong connections anywhere.
   const CsrMatrix a = CsrMatrix::diagonal({1.0, 2.0, 3.0});
   const CsrMatrix s = strength_matrix(a, 0.25);
-  Rng rng(9);
   for (CoarsenAlgo algo :
        {CoarsenAlgo::kRS, CoarsenAlgo::kPMIS, CoarsenAlgo::kHMIS}) {
-    const Splitting split = coarsen(algo, s, rng);
+    const Splitting split = coarsen_parallel(s, params(algo, 9));
     EXPECT_EQ(count_coarse(split), 0);
   }
 }
@@ -185,8 +193,7 @@ class InterpAlgoTest : public ::testing::TestWithParam<InterpAlgo> {};
 TEST_P(InterpAlgoTest, IdentityOnCPointsAndBoundedRows) {
   Problem prob = make_laplace_7pt(7);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(10);
-  const Splitting split = coarsen_hmis(s, rng);
+  const Splitting split = coarsen_parallel(s, params(CoarsenAlgo::kHMIS, 10));
   const CsrMatrix p = build_interpolation(GetParam(), prob.a, s, split);
   EXPECT_EQ(p.rows(), prob.a.rows());
   EXPECT_EQ(p.cols(), count_coarse(split));
@@ -225,9 +232,9 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, InterpAlgoTest,
 TEST(Interp, MultipassCoversAggressiveSplitting) {
   Problem prob = make_laplace_7pt(8);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(11);
-  Splitting split = coarsen_hmis(s, rng);
-  split = coarsen_aggressive(CoarsenAlgo::kHMIS, s, split, rng);
+  const CoarsenParams cp = params(CoarsenAlgo::kHMIS, 11);
+  Splitting split = coarsen_parallel(s, cp);
+  split = coarsen_aggressive_parallel(s, split, cp);
   const CsrMatrix p = interp_multipass(prob.a, s, split);
   // Every row must interpolate from something (the mesh is connected).
   const auto rp = p.row_ptr();
@@ -239,8 +246,7 @@ TEST(Interp, MultipassCoversAggressiveSplitting) {
 TEST(Interp, TruncationPreservesRowSums) {
   Problem prob = make_laplace_27pt(6);
   const CsrMatrix s = strength_matrix(prob.a, 0.25);
-  Rng rng(12);
-  const Splitting split = coarsen_hmis(s, rng);
+  const Splitting split = coarsen_parallel(s, params(CoarsenAlgo::kHMIS, 12));
   const CsrMatrix p = interp_classical_modified(prob.a, s, split);
   const CsrMatrix pt = truncate_interpolation(p, 0.3);
   EXPECT_LE(pt.nnz(), p.nnz());
@@ -360,6 +366,48 @@ TEST(Hierarchy, ComplexityStatsSane) {
   EXPECT_GT(h.grid_complexity(), 1.0);
   EXPECT_LT(h.grid_complexity(), 2.0);
   EXPECT_FALSE(h.summary().empty());
+}
+
+/// Bitwise equality: same pattern in the same order and identical values.
+void expect_identical_matrix(const CsrMatrix& a, const CsrMatrix& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  ASSERT_EQ(a.nnz(), b.nnz()) << what;
+  const auto arp = a.row_ptr(), brp = b.row_ptr();
+  const auto aci = a.col_idx(), bci = b.col_idx();
+  const auto av = a.values(), bv = b.values();
+  EXPECT_TRUE(std::equal(arp.begin(), arp.end(), brp.begin())) << what;
+  EXPECT_TRUE(std::equal(aci.begin(), aci.end(), bci.begin())) << what;
+  EXPECT_TRUE(std::equal(av.begin(), av.end(), bv.begin())) << what;
+}
+
+TEST(HierarchyBuilder, StepwiseFinishMatchesDirectBuild) {
+  // Harnesses drive step() and finish() themselves (perfbench's amg probe
+  // times each step), so the stepped build must be the direct one exactly.
+  const CsrMatrix a = make_laplace_7pt(12).a;
+  AmgOptions opts;
+  opts.precision = PrecisionPolicy{};  // pin the fp64 oracle
+  const Hierarchy direct = Hierarchy::build(a, opts);
+
+  HierarchyBuilder builder(a, opts);
+  std::size_t steps = 0;
+  while (builder.step()) ++steps;
+  EXPECT_GE(steps, 1u);
+  EXPECT_EQ(steps + 1, direct.num_levels());
+  EXPECT_FALSE(builder.step());  // complete from then on
+  const Hierarchy stepped = builder.finish();
+
+  ASSERT_EQ(stepped.num_levels(), direct.num_levels());
+  for (std::size_t k = 0; k < direct.num_levels(); ++k) {
+    const std::string tag = "level " + std::to_string(k);
+    expect_identical_matrix(direct.matrix(k), stepped.matrix(k), tag + " A");
+    if (k + 1 < direct.num_levels()) {
+      EXPECT_LT(stepped.matrix(k + 1).rows(), stepped.matrix(k).rows());
+      expect_identical_matrix(direct.interpolation(k),
+                              stepped.interpolation(k), tag + " P");
+    }
+  }
 }
 
 }  // namespace

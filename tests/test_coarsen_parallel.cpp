@@ -1,11 +1,10 @@
 // Property tests for the row-parallel C/F splitting (DESIGN.md section 13).
 // Over seeded random CSR strength graphs and structured Laplacian strength
-// matrices, every parallel algorithm must (a) be bitwise identical for every
-// thread count, (b) equal coarsen_parallel_oracle -- the naive full-sweep
-// serial implementation of the same rounds -- exactly, (c) with kRngSequence
-// weights reproduce the verbatim serial PMIS, and (d) satisfy the splitting
-// contracts: a valid independent set on symmetric strength graphs and
-// C-coverage of every non-isolated F point in general.
+// matrices, every algorithm must (a) be bitwise identical for every thread
+// count, (b) equal oracle::coarsen_parallel_oracle -- the naive full-sweep
+// serial implementation of the same rounds in tests/oracle -- exactly, and
+// (c) satisfy the splitting contracts: a valid independent set on symmetric
+// strength graphs and C-coverage of every non-isolated F point in general.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +15,7 @@
 #include "amg/hierarchy.hpp"
 #include "amg/strength.hpp"
 #include "mesh/problems.hpp"
+#include "oracle/coarsen_oracle.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/rng.hpp"
@@ -95,7 +95,7 @@ TEST(CoarsenParallel, BitIdenticalAcrossThreadCountsAndToOracle) {
       CoarsenParams p;
       p.algo = algo;
       p.seed = 42 + g;
-      const Splitting oracle = coarsen_parallel_oracle(graphs[g], p);
+      const Splitting oracle = oracle::coarsen_parallel_oracle(graphs[g], p);
       for (int nt : kThreadCounts) {
         p.num_threads = nt;
         expect_same_splitting(oracle, coarsen_parallel(graphs[g], p),
@@ -103,25 +103,6 @@ TEST(CoarsenParallel, BitIdenticalAcrossThreadCountsAndToOracle) {
                                   " algo " + algo_name(algo) + " nt " +
                                   std::to_string(nt));
       }
-    }
-  }
-}
-
-TEST(CoarsenParallel, RngSequencePmisMatchesVerbatimSerialPmis) {
-  const std::vector<CsrMatrix> graphs = test_graphs();
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    CoarsenParams p;
-    p.algo = CoarsenAlgo::kPMIS;
-    p.weights = CoarsenWeights::kRngSequence;
-    p.seed = 7 + g;
-    Rng rng(p.seed);
-    const Splitting legacy = coarsen_pmis(graphs[g], rng);
-    for (int nt : kThreadCounts) {
-      p.num_threads = nt;
-      expect_same_splitting(legacy, coarsen_parallel(graphs[g], p),
-                            std::string("rng-sequence graph ") +
-                                std::to_string(g) + " nt " +
-                                std::to_string(nt));
     }
   }
 }
@@ -199,7 +180,7 @@ TEST(CoarsenParallel, EveryFinePointIsIsolatedOrDependsOnCoarse) {
 TEST(CoarsenParallel, HashTieWeightsDeterministicAndInRange) {
   const Index n = 5000;  // above the serial cutoff
   const std::vector<double> ref =
-      coarsen_tie_weights(CoarsenWeights::kHash, n, 42, 1);
+      coarsen_tie_weights(n, 42, 1);
   ASSERT_EQ(ref.size(), static_cast<std::size_t>(n));
   for (double w : ref) {
     EXPECT_GE(w, 0.0);
@@ -207,14 +188,14 @@ TEST(CoarsenParallel, HashTieWeightsDeterministicAndInRange) {
   }
   for (int nt : kThreadCounts) {
     const std::vector<double> got =
-        coarsen_tie_weights(CoarsenWeights::kHash, n, 42, nt);
+        coarsen_tie_weights(n, 42, nt);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i], got[i]) << "weight " << i << " at nt " << nt;
     }
   }
   // Different seeds must give different weight streams.
   const std::vector<double> other =
-      coarsen_tie_weights(CoarsenWeights::kHash, n, 43, 1);
+      coarsen_tie_weights(n, 43, 1);
   EXPECT_NE(ref, other);
 }
 
@@ -290,21 +271,6 @@ TEST(CoarsenParallel, HierarchyBuildBitIdenticalAcrossSetupThreads) {
       }
     }
   }
-}
-
-TEST(CoarsenParallel, SerialOracleModeStillRunsTheLegacyAlgorithms) {
-  // AmgOptions::coarsen_mode = kSerialOracle must keep producing the exact
-  // legacy splitting chain (heap RS + rng-sequence PMIS) so regressions in
-  // the parallel path can always be diffed against it.
-  const CsrMatrix a = make_laplace_7pt(14).a;
-  const CsrMatrix s = strength_matrix(a, 0.25);
-  AmgOptions opts;
-  opts.coarsen_mode = CoarsenMode::kSerialOracle;
-  opts.precision = PrecisionPolicy{};
-  const Hierarchy h = Hierarchy::build(a, opts);
-  Rng rng(opts.seed);
-  const Splitting expected = coarsen(opts.coarsening, s, rng);
-  expect_same_splitting(expected, h.level(0).split, "serial oracle level 0");
 }
 
 }  // namespace

@@ -81,8 +81,7 @@ TEST(ParallelTranspose, IdenticalAcrossThreadCounts) {
   const CsrMatrix a = big_laplacian();
   // Rectangular case too: an interpolation operator.
   const CsrMatrix s = strength_matrix(a, 0.25);
-  Rng rng(7);
-  const Splitting split = coarsen(CoarsenAlgo::kHMIS, s, rng);
+  const Splitting split = coarsen_parallel(s, CoarsenParams{});
   const CsrMatrix p = interp_direct(a, s, split, 1);
   const CsrMatrix at_ref = a.transpose(1);
   const CsrMatrix pt_ref = p.transpose(1);
@@ -109,8 +108,7 @@ TEST(ParallelStrength, IdenticalAcrossThreadCounts) {
 TEST(ParallelInterp, IdenticalAcrossThreadCounts) {
   const CsrMatrix a = big_laplacian();
   const CsrMatrix s = strength_matrix(a, 0.25);
-  Rng rng(7);
-  const Splitting split = coarsen(CoarsenAlgo::kHMIS, s, rng);
+  const Splitting split = coarsen_parallel(s, CoarsenParams{});
   const CsrMatrix pd_ref = interp_direct(a, s, split, 1);
   const CsrMatrix pc_ref = interp_classical_modified(a, s, split, 1);
   const CsrMatrix pm_ref = interp_multipass(a, s, split, 1);
@@ -128,8 +126,7 @@ TEST(ParallelInterp, IdenticalAcrossThreadCounts) {
 TEST(FusedRap, MatchesExplicitChain) {
   const CsrMatrix a = big_laplacian();
   const CsrMatrix s = strength_matrix(a, 0.25);
-  Rng rng(7);
-  const Splitting split = coarsen(CoarsenAlgo::kHMIS, s, rng);
+  const Splitting split = coarsen_parallel(s, CoarsenParams{});
   const CsrMatrix p = interp_classical_modified(a, s, split, 1);
 
   // Explicit three-matrix chain the fused kernel replaces.
