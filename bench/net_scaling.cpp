@@ -14,10 +14,15 @@
 //   3. Real kill: a worker process is SIGKILLed mid-solve; the coordinator
 //      must detect the dead peer and return normally -- never hang. The kill
 //      is timed, so the harness escalates t_max until it lands mid-solve.
+//   4. Setup key path: in every sweep row the first solve on a fresh fleet
+//      takes the kSetupMiss path on every worker, the warm solves after it
+//      on none, and all of them return the same bits.
 //
-// Then a worker-count x problem-size sweep reports wall time, residual, and
-// wire traffic (bytes per correction). --json writes the machine-readable
-// summary (default BENCH_net.json); --smoke shrinks everything for CI.
+// The worker-count x problem-size sweep runs each row on a fresh fleet and
+// reports the first (cold) solve apart from the median of the warm solves
+// after it, with residual and wire traffic (bytes per correction of a warm
+// solve). --json writes the machine-readable summary, host-stamped
+// (default BENCH_net.json); --smoke shrinks everything for CI.
 // --trace-dir / --log-dir collect per-worker Chrome traces and stderr logs
 // as CI artifacts.
 
@@ -32,13 +37,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_host.hpp"
 #include "net/cluster.hpp"
 #include "shard/solver.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace asyncmg {
@@ -137,13 +145,19 @@ std::vector<Endpoint> endpoints_of(const std::vector<WorkerProc>& fleet,
   return e;
 }
 
+/// One sweep row: the first solve on a fresh fleet (cold: every worker
+/// loads the hierarchy) and the median of the warm solves after it.
 struct Measurement {
   std::size_t workers = 0;
   std::int64_t n = 0;
   std::size_t dofs = 0;
-  double seconds = 0.0;
+  double first_seconds = 0.0;
+  std::uint64_t first_setup_misses = 0;
+  std::uint64_t first_bytes_sent = 0;
+  double warm_seconds = 0.0;             // median
+  std::uint64_t warm_setup_misses = 0;   // summed over the warm solves
   double final_rel_res = 1.0;
-  std::uint64_t frames_relayed = 0;
+  std::uint64_t frames_relayed = 0;      // of the last warm solve, as below
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   double bytes_per_correction = 0.0;
@@ -261,10 +275,11 @@ int main(int argc, char** argv) {
   std::cout << "gate 2: deterministic worker crash recovered (survivors "
                "finished all rounds, residual bounded)\n";
 
-  // --- Sweep: worker count x problem size ---------------------------------
+  // --- Sweep: worker count x problem size (gate 4 on every row) ------------
   const auto sizes = smoke ? std::vector<std::int64_t>{n}
                            : cli.get_int_list("sizes", {8, 12});
-  Table table({"workers", "n", "dofs", "time", "relres", "relayed",
+  const int warm_solves = smoke ? 2 : 5;
+  Table table({"workers", "n", "dofs", "cold", "warm", "relres", "relayed",
                "bytes/corr"});
   std::vector<Measurement> runs;
   for (std::int64_t size : sizes) {
@@ -275,20 +290,53 @@ int main(int argc, char** argv) {
     const std::size_t sr = static_cast<std::size_t>(s.a(0).rows());
     const Vector sb = bench::paper_rhs(sr, 0);
     for (std::int64_t wc : worker_counts) {
+      // A fresh fleet per row, so its first solve is cold on every worker.
+      std::vector<WorkerProc> row_fleet;
+      for (std::int64_t i = 0; i < wc; ++i) {
+        std::ostringstream name;
+        name << "n" << size << "w" << wc << "_" << i;
+        row_fleet.push_back(
+            spawn_workerd(bin, name.str(), trace_dir, log_dir));
+      }
       ClusterOptions co;
-      co.endpoints = endpoints_of(fleet, static_cast<std::size_t>(wc));
+      co.endpoints =
+          endpoints_of(row_fleet, static_cast<std::size_t>(wc));
       ClusterCoordinator coordinator(co);
       ClusterSolveOptions cso;
       cso.bsp = true;
       cso.t_max = t_max;
       cso.additive = ao;
-      Vector x(sr, 0.0);
-      const ClusterResult r = coordinator.solve(s, sb, x, cso);
+      Vector x_first(sr, 0.0);
+      const ClusterResult first = coordinator.solve(s, sb, x_first, cso);
       Measurement m;
       m.workers = static_cast<std::size_t>(wc);
       m.n = size;
       m.dofs = sr;
-      m.seconds = r.seconds;
+      m.first_seconds = first.seconds;
+      m.first_setup_misses = first.setup_misses;
+      m.first_bytes_sent = first.bytes_sent;
+      bool same_bits = true;
+      std::vector<double> warm;
+      ClusterResult r;
+      for (int k = 0; k < warm_solves; ++k) {
+        Vector x(sr, 0.0);
+        r = coordinator.solve(s, sb, x, cso);
+        warm.push_back(r.seconds);
+        m.warm_setup_misses += r.setup_misses;
+        same_bits = same_bits && x == x_first;
+      }
+      coordinator.shutdown_workers();
+      for (WorkerProc& w : row_fleet) reap(w);
+      if (m.first_setup_misses != m.workers || m.warm_setup_misses != 0 ||
+          !same_bits) {
+        std::cerr << "FAIL: setup key path with " << wc << " workers at n="
+                  << size << ": cold solve missed on " << m.first_setup_misses
+                  << " workers, warm solves missed " << m.warm_setup_misses
+                  << " times, answers "
+                  << (same_bits ? "bitwise equal" : "differ") << "\n";
+        return 1;
+      }
+      m.warm_seconds = median(warm);
       m.final_rel_res = r.final_rel_res;
       m.frames_relayed = r.frames_relayed;
       m.bytes_sent = r.bytes_sent;
@@ -301,17 +349,20 @@ int main(int argc, char** argv) {
                           static_cast<double>(corr);
       runs.push_back(m);
       table.add_row({std::to_string(wc), std::to_string(size),
-                     std::to_string(sr), Table::fmt(r.seconds, 4),
+                     std::to_string(sr), Table::fmt(m.first_seconds, 4),
+                     Table::fmt(m.warm_seconds, 4),
                      Table::fmt(r.final_rel_res, 3),
                      std::to_string(r.frames_relayed),
                      Table::fmt(m.bytes_per_correction, 0)});
     }
   }
-  std::cout << "\n";
+  std::cout << "gate 4: every cold solve took the setup-miss path on every "
+               "worker, no warm solve missed, all answers bitwise equal\n\n";
   table.emit(cli.get("csv", ""));
-  std::cout << "\nReading: bytes/corr is dominated by the solve request "
-               "(hierarchy + b) at small scale; the data plane (relayed "
-               "halo frames) grows with worker count\n\n";
+  std::cout << "\nReading: the cold solve ships the hierarchy to every "
+               "worker, which loads it; a warm solve ships only the setup "
+               "key, b and x0, so its bytes/corr is the data plane (relayed "
+               "halo frames), which grows with worker count\n\n";
 
   // --- Gate 3: real SIGKILL mid-solve -------------------------------------
   // Timing-dependent by nature: escalate t_max until the kill lands while
@@ -377,16 +428,24 @@ int main(int argc, char** argv) {
   for (WorkerProc& w : fleet) reap(w);
 
   std::ofstream out(json_path);
-  out << "{\"bench\":\"net_scaling\",\"n\":" << n << ",\"cycles\":" << t_max
+  out << "{\"bench\":\"net_scaling\",\"host\":" << bench::host_json()
+      << ",\"n\":" << n << ",\"cycles\":" << t_max
+      << ",\"warm_solves\":" << warm_solves
       << ",\"smoke\":" << (smoke ? 1 : 0)
       << ",\"bsp_bitwise_oracle\":\"pass\",\"crash_after_recovery\":\"pass\""
-      << ",\"sigkill_recovery\":\"pass\",\"runs\":[";
+      << ",\"sigkill_recovery\":\"pass\",\"setup_key_path\":\"pass\""
+      << ",\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Measurement& m = runs[i];
     if (i) out << ",";
     out << "{\"workers\":" << m.workers << ",\"n\":" << m.n << ",\"dofs\":"
-        << m.dofs << ",\"seconds\":" << m.seconds << ",\"final_rel_res\":"
-        << m.final_rel_res << ",\"frames_relayed\":" << m.frames_relayed
+        << m.dofs << ",\"first_seconds\":" << m.first_seconds
+        << ",\"first_setup_misses\":" << m.first_setup_misses
+        << ",\"first_bytes_sent\":" << m.first_bytes_sent
+        << ",\"warm_seconds\":" << m.warm_seconds
+        << ",\"warm_setup_misses\":" << m.warm_setup_misses
+        << ",\"final_rel_res\":" << m.final_rel_res
+        << ",\"frames_relayed\":" << m.frames_relayed
         << ",\"bytes_sent\":" << m.bytes_sent << ",\"bytes_received\":"
         << m.bytes_received << ",\"bytes_per_correction\":"
         << m.bytes_per_correction << "}";

@@ -21,9 +21,11 @@ void save_hierarchy(std::ostream& out, const Hierarchy& h) {
     const AmgLevel& lvl = h.level(k);
     const bool coarsest = k + 1 == h.num_levels();
     out << "level " << k << '\n';
-    // Values are written as exactly-widened doubles (Matrix Market text);
-    // the precision tags restore the stored width on load, so fp32 levels
-    // round-trip bit for bit.
+    // Values are written as exactly-widened doubles (Matrix Market text),
+    // row by row in stored order; the loader keeps that order and the
+    // precision tags restore the stored width, so every level's arrays
+    // round-trip exactly (fp32 levels and unsorted or duplicate columns
+    // included).
     out << "precision " << precision_name(lvl.a.precision()) << ' '
         << (coarsest ? "-" : precision_name(lvl.p.precision())) << '\n';
     out << "matrix\n";
@@ -94,14 +96,14 @@ Hierarchy load_hierarchy(std::istream& in) {
     require(expect_token(in, "matrix") == "matrix", "expected 'matrix'");
     in.ignore();  // consume newline before the Matrix Market banner
     AmgLevel lvl;
-    lvl.a = read_matrix_market(in);
+    lvl.a = read_matrix_market_stored(in);
     lvl.a.convert_precision(a_prec);
     require(expect_token(in, "interp") == "interp", "expected 'interp'");
     int has_p = 0;
     in >> has_p;
     if (has_p) {
       in.ignore();
-      lvl.p = read_matrix_market(in);
+      lvl.p = read_matrix_market_stored(in);
       lvl.p.convert_precision(p_prec);
     }
     require(expect_token(in, "split") == "split", "expected 'split'");

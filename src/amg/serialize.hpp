@@ -16,8 +16,9 @@ namespace asyncmg {
 void save_hierarchy(std::ostream& out, const Hierarchy& h);
 void save_hierarchy_file(const std::string& path, const Hierarchy& h);
 
-/// Reads a hierarchy previously written by save_hierarchy. Validates the
-/// interpolation chain; throws std::runtime_error on malformed input.
+/// Reads a hierarchy previously written by save_hierarchy, array for array:
+/// every level's CSR arrays come back exactly as they were stored. Validates
+/// the interpolation chain; throws std::runtime_error on malformed input.
 Hierarchy load_hierarchy(std::istream& in);
 Hierarchy load_hierarchy_file(const std::string& path);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -54,7 +56,8 @@ std::string ClusterResult::to_json() const {
     << ",\"frames_dropped\":" << frames_dropped
     << ",\"bytes_sent\":" << bytes_sent
     << ",\"bytes_received\":" << bytes_received
-    << ",\"connect_retries\":" << connect_retries << ",\"corrections\":[";
+    << ",\"connect_retries\":" << connect_retries
+    << ",\"setup_misses\":" << setup_misses << ",\"corrections\":[";
   for (std::size_t i = 0; i < corrections.size(); ++i) {
     if (i != 0) o << ",";
     o << corrections[i];
@@ -147,34 +150,47 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
     conns[i] = connect_worker(i, res.connect_retries);
   }
 
-  // One request per shard; the hierarchy bytes are shared verbatim.
-  const std::string hierarchy = save_hierarchy_string(setup.hierarchy());
-  for (std::size_t i = 0; i < N; ++i) {
-    SolveRequestMsg req;
+  // One key-only request per shard: a worker that holds the setup solves
+  // at once. One that misses answers kSetupMiss, and its reader resends the
+  // request with the hierarchy, serialized at most once per solve.
+  SolveRequestMsg base;
+  base.num_shards = static_cast<std::uint32_t>(N);
+  base.bsp = so.bsp ? 1 : 0;
+  base.width = opts_.width;
+  base.t_max = so.t_max;
+  base.max_lag = so.max_lag;
+  base.seed = so.seed;
+  base.additive_kind = static_cast<std::uint8_t>(so.additive.kind);
+  base.symmetrized_lambda = so.additive.symmetrized_lambda ? 1 : 0;
+  base.afacx_s1 = so.additive.afacx_s1;
+  base.afacx_s2 = so.additive.afacx_s2;
+  base.smoother_type =
+      static_cast<std::uint8_t>(setup.options().smoother.type);
+  base.smoother_omega = setup.options().smoother.omega;
+  base.smoother_blocks =
+      static_cast<std::uint32_t>(setup.options().smoother.num_blocks);
+  base.max_dense_coarse =
+      static_cast<std::int64_t>(setup.options().max_dense_coarse);
+  base.setup_key = setup_key(setup.hierarchy(), base);
+  base.b = b;
+  base.x0 = x;
+  std::once_flag hierarchy_once;
+  std::string hierarchy;
+  auto encode_request = [&](std::size_t i, bool with_hierarchy) {
+    SolveRequestMsg req = base;
     req.shard = static_cast<std::uint32_t>(i);
-    req.num_shards = static_cast<std::uint32_t>(N);
-    req.bsp = so.bsp ? 1 : 0;
-    req.width = opts_.width;
-    req.t_max = so.t_max;
-    req.max_lag = so.max_lag;
-    req.seed = so.seed;
-    req.additive_kind = static_cast<std::uint8_t>(so.additive.kind);
-    req.symmetrized_lambda = so.additive.symmetrized_lambda ? 1 : 0;
-    req.afacx_s1 = so.additive.afacx_s1;
-    req.afacx_s2 = so.additive.afacx_s2;
-    req.smoother_type =
-        static_cast<std::uint8_t>(setup.options().smoother.type);
-    req.smoother_omega = setup.options().smoother.omega;
-    req.smoother_blocks =
-        static_cast<std::uint32_t>(setup.options().smoother.num_blocks);
-    req.max_dense_coarse =
-        static_cast<std::int64_t>(setup.options().max_dense_coarse);
     req.crash_after = so.crash_after.empty() ? -1 : so.crash_after[i];
-    req.hierarchy = hierarchy;
-    req.b = b;
-    req.x0 = x;
+    if (with_hierarchy) {
+      std::call_once(hierarchy_once, [&] {
+        hierarchy = save_hierarchy_string(setup.hierarchy());
+      });
+      req.hierarchy = hierarchy;
+    }
+    return encode_solve_request(req);
+  };
+  for (std::size_t i = 0; i < N; ++i) {
     if (!conns[i]->send_frame(MsgType::kSolveRequest,
-                              encode_solve_request(req))) {
+                              encode_request(i, false))) {
       throw SocketError("worker " + std::to_string(i) +
                         " closed before the solve started");
     }
@@ -191,7 +207,13 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   for (std::size_t i = 0; i < N; ++i) last_seen[i].store(now_ns());
   std::vector<SolveDoneMsg> results(N);
   std::atomic<std::uint64_t> relayed{0};
+  std::atomic<std::uint64_t> misses{0};
   std::mutex bc_mu;
+  // Each reader bumps `settled` when its worker is done or dead; the
+  // monitor below sleeps on settled_cv between heartbeat deadlines.
+  std::mutex settled_mu;
+  std::condition_variable settled_cv;
+  std::uint64_t settled = 0;  // under settled_mu
 
   auto mark_dead = [&](std::size_t i) {
     std::vector<std::size_t> targets;
@@ -221,6 +243,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   auto reader = [&](std::size_t i) {
     MsgType type{};
     std::vector<std::uint8_t> payload;
+    bool missed = false;
     for (;;) {
       // The whole receive + decode + dispatch step runs under the try: a
       // checksum-valid but semantically invalid frame (decode_* throwing
@@ -278,6 +301,22 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
           }
           case MsgType::kHeartbeat:
             break;  // recency already noted
+          case MsgType::kSetupMiss: {
+            // Only the key we sent may miss, and only once: the resent
+            // request carries the hierarchy itself.
+            const SetupMissMsg m = decode_setup_miss(payload);
+            if (m.shard != i || m.key != base.setup_key || missed) {
+              throw WireError("unexpected setup miss");
+            }
+            missed = true;
+            misses.fetch_add(1, std::memory_order_relaxed);
+            conns[i]->send_frame(MsgType::kSolveRequest,
+                                 encode_request(i, true));
+            // The worker beats again only once it has loaded the setup:
+            // give it the full timeout from here, not from its miss.
+            last_seen[i].store(now_ns(), std::memory_order_relaxed);
+            break;
+          }
           case MsgType::kSolveDone: {
             results[i] = decode_solve_done(payload);
             done[i].store(true);
@@ -295,23 +334,49 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
 
   std::vector<std::thread> readers;
   readers.reserve(N);
-  for (std::size_t i = 0; i < N; ++i) readers.emplace_back(reader, i);
+  for (std::size_t i = 0; i < N; ++i) {
+    // Every way out of reader() leaves worker i done or dead.
+    readers.emplace_back([&, i] {
+      reader(i);
+      {
+        std::lock_guard<std::mutex> lock(settled_mu);
+        ++settled;
+      }
+      settled_cv.notify_one();
+    });
+  }
 
-  // Monitor: heartbeat-recency dead-peer detection.
+  // Monitor: heartbeat-recency dead-peer detection. It sleeps until the
+  // earliest heartbeat deadline of a running worker or until a reader
+  // settles one, so the solve ends as soon as the last worker settles.
   const auto timeout_ns = static_cast<std::int64_t>(
       opts_.heartbeat_timeout_ms * 1e6);
   for (;;) {
+    std::uint64_t seen = 0;
+    {
+      std::lock_guard<std::mutex> lock(settled_mu);
+      seen = settled;
+    }
     bool all_settled = true;
+    std::int64_t wake_ns = now_ns() + timeout_ns;
     for (std::size_t i = 0; i < N; ++i) {
       if (done[i].load() || dead[i].load()) continue;
       all_settled = false;
-      if (now_ns() - last_seen[i].load(std::memory_order_relaxed) >
-          timeout_ns) {
+      const std::int64_t deadline =
+          last_seen[i].load(std::memory_order_relaxed) + timeout_ns;
+      if (now_ns() > deadline) {
         mark_dead(i);
+      } else {
+        wake_ns = std::min(wake_ns, deadline);
       }
     }
     if (all_settled) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::unique_lock<std::mutex> lock(settled_mu);
+    settled_cv.wait_until(
+        lock,
+        std::chrono::steady_clock::time_point(
+            std::chrono::nanoseconds(wake_ns)),
+        [&] { return settled != seen; });
   }
   for (std::thread& t : readers) t.join();
 
@@ -337,6 +402,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
     res.bytes_received += conns[i]->bytes_received();
   }
   res.frames_relayed = relayed.load();
+  res.setup_misses = misses.load();
   res.seconds = timer.seconds();
 
   Vector r;

@@ -8,8 +8,10 @@
 //
 //   1. connects to every endpoint with jittered exponential backoff
 //      (util/backoff) and handshakes the shard assignment,
-//   2. ships the serialized hierarchy + b + x0 + solver options
-//      (kSolveRequest) -- workers rebuild identical state deterministically,
+//   2. ships the setup key + b + x0 + solver options (kSolveRequest); a
+//      worker whose setup cache misses the key answers kSetupMiss and gets
+//      the request again with the serialized hierarchy -- either way every
+//      worker holds identical state,
 //   3. relays kHaloFrame by destination, broadcasts kProgress, and tracks
 //      liveness (heartbeat recency and connection EOF); a worker declared
 //      dead gets kPeerDead broadcast to the survivors, whose gates and BSP
@@ -91,6 +93,7 @@ struct ClusterResult {
   std::uint64_t bytes_sent = 0;       // coordinator -> workers
   std::uint64_t bytes_received = 0;   // workers -> coordinator
   std::uint64_t connect_retries = 0;  // backoff-spaced redials
+  std::uint64_t setup_misses = 0;     // workers sent the hierarchy (kSetupMiss)
   std::string to_json() const;
 };
 

@@ -5,9 +5,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -54,6 +56,45 @@ void Socket::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// WakeFd
+// ---------------------------------------------------------------------------
+
+WakeFd::WakeFd() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (fd_ < 0) throw SocketError(errno_str("eventfd"));
+}
+
+WakeFd::~WakeFd() { ::close(fd_); }
+
+void WakeFd::signal() {
+  const std::uint64_t one = 1;
+  // Nonblocking: only a counter at its maximum refuses, and that is
+  // readable already.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+}
+
+bool WakeFd::wait_for(double ms) const {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::duration<double, std::milli>(ms));
+  pollfd pfd{};
+  pfd.fd = fd_;
+  pfd.events = POLLIN;
+  for (;;) {
+    const auto left = std::max(deadline - std::chrono::steady_clock::now(),
+                               std::chrono::steady_clock::duration::zero());
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    timespec ts{};
+    ts.tv_sec = static_cast<time_t>(ns / 1000000000);
+    ts.tv_nsec = static_cast<long>(ns % 1000000000);
+    const int rc = ::ppoll(&pfd, 1, &ts, nullptr);
+    if (rc > 0) return true;
+    if (rc == 0) return false;
+    if (errno != EINTR) throw SocketError(errno_str("ppoll"));
   }
 }
 
@@ -203,7 +244,7 @@ bool FrameConn::send_frame(MsgType type,
 
 RecvStatus FrameConn::recv_frame(MsgType& type,
                                  std::vector<std::uint8_t>& payload,
-                                 int timeout_ms) {
+                                 int timeout_ms, const WakeFd* wake) {
   const bool has_deadline = timeout_ms >= 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(has_deadline ? timeout_ms : 0);
@@ -225,16 +266,23 @@ RecvStatus FrameConn::recv_frame(MsgType& type,
     }
     if (!sock_.valid()) return RecvStatus::kClosed;
 
-    pollfd pfd{};
-    pfd.fd = sock_.fd();
-    pfd.events = POLLIN;
+    pollfd pfd[2] = {};
+    pfd[0].fd = sock_.fd();
+    pfd[0].events = POLLIN;
+    if (wake != nullptr) {
+      pfd[1].fd = wake->fd();
+      pfd[1].events = POLLIN;
+    }
     const int wait = remaining_ms(deadline, has_deadline);
-    const int rc = ::poll(&pfd, 1, wait);
+    const int rc = ::poll(pfd, wake != nullptr ? 2 : 1, wait);
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw SocketError(errno_str("poll"));
     }
     if (rc == 0) return RecvStatus::kTimeout;
+    if (wake != nullptr && (pfd[1].revents & POLLIN) != 0) {
+      return RecvStatus::kWoken;
+    }
 
     std::uint8_t chunk[65536];
     const ssize_t n = ::recv(sock_.fd(), chunk, sizeof(chunk), 0);

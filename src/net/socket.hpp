@@ -79,6 +79,31 @@ enum class RecvStatus {
   kFrame,    // a complete, checksum-verified frame was produced
   kTimeout,  // nothing complete within the deadline; partial bytes retained
   kClosed,   // orderly EOF or connection reset by peer
+  kWoken,    // the WakeFd passed to recv_frame was signalled
+};
+
+/// An eventfd a thread blocked in FrameConn::recv_frame (or in wait_for)
+/// also polls, so it wakes when local work ends instead of at a poll
+/// timeout. Level-triggered and never reset: once signal() has run, every
+/// later recv_frame that polls it returns kWoken as soon as no complete
+/// frame is buffered, and every wait_for returns true at once.
+class WakeFd {
+ public:
+  /// Throws SocketError when the eventfd cannot be created.
+  WakeFd();
+  ~WakeFd();
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  /// Thread-safe; idempotent.
+  void signal();
+  /// Blocks until signal() has run (true) or `ms` milliseconds pass
+  /// (false). Throws SocketError when the wait itself fails.
+  bool wait_for(double ms) const;
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
 };
 
 /// One wire-protocol connection: writes whole frames, reads frames
@@ -94,11 +119,12 @@ class FrameConn {
   bool send_frame(MsgType type, const std::vector<std::uint8_t>& payload);
 
   /// Reads until one complete frame is available or `timeout_ms` elapses
-  /// (-1 = forever). On kFrame fills `type` and `payload` (checksum already
+  /// (-1 = forever), or -- when `wake` is given -- until it is signalled
+  /// (kWoken). On kFrame fills `type` and `payload` (checksum already
   /// verified). Throws WireError on protocol violations (bad magic, bad
   /// checksum, oversized length) -- callers drop the connection.
   RecvStatus recv_frame(MsgType& type, std::vector<std::uint8_t>& payload,
-                        int timeout_ms);
+                        int timeout_ms, const WakeFd* wake = nullptr);
 
   bool open() const { return sock_.valid() && !peer_gone_; }
   void close() { sock_.close(); }

@@ -34,7 +34,8 @@ void SocketTransportOptions::validate() const {
 
 SocketTransport::SocketTransport(SocketTransportOptions opts)
     : opts_(opts),
-      boxes_(opts.num_shards * static_cast<std::size_t>(kNumHaloTags)) {
+      boxes_(opts.num_shards * static_cast<std::size_t>(kNumHaloTags)),
+      dead_(opts.num_shards, false) {
   opts_.validate();
 }
 
@@ -75,6 +76,22 @@ bool SocketTransport::recv_next(std::size_t to, std::size_t from, HaloTag tag,
   return true;
 }
 
+void SocketTransport::wait_next(std::size_t to, std::size_t from,
+                                HaloTag tag, int) {
+  if (to != opts_.shard || from >= opts_.num_shards) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  arrived_.wait_for(lock, kWaitBound,
+                    [&] { return !box(from, tag).empty() || dead_[from]; });
+}
+
+void SocketTransport::peer_dead(std::size_t peer) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (peer < dead_.size()) dead_[peer] = true;
+  }
+  arrived_.notify_all();
+}
+
 void SocketTransport::deliver(const HaloFrameMsg& m) {
   if (m.to != opts_.shard || m.from >= opts_.num_shards ||
       m.from == opts_.shard || m.tag >= kNumHaloTags) {
@@ -89,13 +106,16 @@ void SocketTransport::deliver(const HaloFrameMsg& m) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  std::deque<HaloPacket>& q = box(m.from, static_cast<HaloTag>(m.tag));
-  if (q.size() >= opts_.mailbox_capacity) {
-    q.pop_front();  // newest wins
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::deque<HaloPacket>& q = box(m.from, static_cast<HaloTag>(m.tag));
+    if (q.size() >= opts_.mailbox_capacity) {
+      q.pop_front();  // newest wins
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    q.push_back(wire_to_halo(m));
   }
-  q.push_back(wire_to_halo(m));
+  arrived_.notify_all();
 }
 
 NetPeerBoard::NetPeerBoard(std::size_t num_shards, std::size_t self,

@@ -18,6 +18,9 @@
 //   recv_latest newest-wins: takes the back of the mailbox, discards the
 //               rest (the PR 6 free-running read).
 //   recv_next   FIFO: pops the front (the BSP one-frame-per-round read).
+//   wait_next   the BSP wait: blocks on a condition variable until deliver
+//               fills the edge's mailbox or peer_dead marks its sender,
+//               each wait bounded by kWaitBound.
 //
 // Mailboxes are guarded by one mutex (reader thread vs solver thread; the
 // traffic is a handful of frames per round, far from contention). The
@@ -29,6 +32,8 @@
 // peer commits and deaths arrive from the reader thread via apply_*.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -78,6 +83,16 @@ class SocketTransport final : public Transport {
                    HaloPacket& out) override;
   bool recv_next(std::size_t to, std::size_t from, HaloTag tag,
                  HaloPacket& out) override;
+  void wait_next(std::size_t to, std::size_t from, HaloTag tag,
+                 int spins) override;
+
+  /// Upper bound of one wait_next. Every wakeup the wait needs is signalled
+  /// (deliver, peer_dead); the bound only caps the cost of one that is not.
+  static constexpr std::chrono::milliseconds kWaitBound{5};
+
+  /// Reader-thread notice that `peer` will never send again: wakes a
+  /// wait_next on its edges. Call after the PeerBoard marks it dead.
+  void peer_dead(std::size_t peer);
 
   /// Inbound frame from the reader thread. Frames not addressed to this
   /// shard, carrying an out-of-range peer, or whose payload length does not
@@ -101,7 +116,9 @@ class SocketTransport final : public Transport {
 
   SocketTransportOptions opts_;
   std::mutex mu_;
+  std::condition_variable arrived_;
   std::vector<std::deque<HaloPacket>> boxes_;
+  std::vector<bool> dead_;  // by peer, under mu_
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };

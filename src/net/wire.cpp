@@ -29,6 +29,8 @@ const char* msg_type_name(MsgType t) {
       return "stats-response";
     case MsgType::kShutdown:
       return "shutdown";
+    case MsgType::kSetupMiss:
+      return "setup-miss";
   }
   return "unknown";
 }
@@ -151,10 +153,24 @@ void WireReader::expect_end() const {
 }
 
 std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (std::size_t i = 0; i < size; ++i) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;  // FNV prime
+  std::uint64_t h = 1469598103934665603ull;           // FNV offset basis
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t w = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&w, data + i, 8);
+    } else {
+      for (int k = 0; k < 8; ++k) {
+        w |= static_cast<std::uint64_t>(data[i + k]) << (8 * k);
+      }
+    }
+    h ^= w;
+    h *= kPrime;
+  }
+  for (; i < size; ++i) {
     h ^= data[i];
-    h *= 1099511628211ull;  // FNV prime
+    h *= kPrime;
   }
   return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
@@ -190,7 +206,7 @@ FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t size) {
   }
   const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kShutdown)) {
+      type > static_cast<std::uint8_t>(MsgType::kSetupMiss)) {
     throw WireError("unknown message type " + std::to_string(type));
   }
   if (r.u16() != 0) throw WireError("nonzero reserved field");
@@ -286,6 +302,7 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& m) {
   w.u32(m.smoother_blocks);
   w.i64(m.max_dense_coarse);
   w.u32(static_cast<std::uint32_t>(m.crash_after));
+  w.u64(m.setup_key);
   w.str(m.hierarchy);
   w.vec(m.b, WireWidth::kF64);
   w.vec(m.x0, WireWidth::kF64);
@@ -322,6 +339,7 @@ SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& p) {
   if (m.smoother_blocks < 1) throw WireError("bad smoother blocks");
   m.max_dense_coarse = r.i64();
   m.crash_after = static_cast<std::int32_t>(r.u32());
+  m.setup_key = r.u64();
   m.hierarchy = r.str();
   m.b = r.vec(WireWidth::kF64);
   m.x0 = r.vec(WireWidth::kF64);
@@ -447,6 +465,84 @@ StatsResponseMsg decode_stats_response(const std::vector<std::uint8_t>& p) {
   m.json = r.str();
   r.expect_end();
   return m;
+}
+
+std::vector<std::uint8_t> encode_setup_miss(const SetupMissMsg& m) {
+  WireWriter w;
+  w.u32(m.shard);
+  w.u64(m.key);
+  return w.take();
+}
+
+SetupMissMsg decode_setup_miss(const std::vector<std::uint8_t>& p) {
+  WireReader r(p);
+  SetupMissMsg m;
+  m.shard = r.u32();
+  m.key = r.u64();
+  r.expect_end();
+  return m;
+}
+
+namespace {
+
+// Chains a byte range into a setup key, 8-byte words at a time (the tail
+// zero-padded into one more word). Each step is FNV-1a's xor-multiply
+// followed by an xor-shift that folds the high half down: without it a
+// difference confined to bit 63 of a word -- one sign flip -- passes every
+// later multiply unchanged, and two sign flips cancel.
+std::uint64_t key_bytes(std::uint64_t h, const void* data, std::size_t len) {
+  constexpr std::uint64_t kMul = 0xff51afd7ed558ccdull;  // odd, dense bits
+  const auto* p = static_cast<const unsigned char*>(data);
+  auto step = [&h](std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    step(w);
+  }
+  if (i < len) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, len - i);
+    step(w);
+  }
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t setup_key(const Hierarchy& h, const SolveRequestMsg& req) {
+  std::uint64_t key = 14695981039346656037ull;  // FNV offset basis
+  auto mix = [&key](const void* data, std::size_t len) {
+    key = key_bytes(key, data, len);
+  };
+  auto mix_matrix = [&mix](const CsrMatrix& m) {
+    const std::uint64_t shape[4] = {static_cast<std::uint64_t>(m.rows()),
+                                    static_cast<std::uint64_t>(m.cols()),
+                                    static_cast<std::uint64_t>(m.nnz()),
+                                    static_cast<std::uint64_t>(m.precision())};
+    mix(shape, sizeof(shape));
+    mix(m.row_ptr().data(), m.row_ptr().size_bytes());
+    mix(m.col_idx().data(), m.col_idx().size_bytes());
+    m.with_values([&](const auto* v) { mix(v, m.value_bytes()); });
+  };
+  const std::uint64_t levels = h.num_levels();
+  mix(&levels, sizeof(levels));
+  for (std::size_t k = 0; k < h.num_levels(); ++k) {
+    const AmgLevel& lvl = h.level(k);
+    mix_matrix(lvl.a);
+    mix_matrix(lvl.p);
+    const std::uint64_t split_len = lvl.split.size();
+    mix(&split_len, sizeof(split_len));
+    mix(lvl.split.data(), lvl.split.size() * sizeof(PointType));
+  }
+  mix(&req.smoother_type, sizeof(req.smoother_type));
+  mix(&req.smoother_omega, sizeof(req.smoother_omega));
+  mix(&req.smoother_blocks, sizeof(req.smoother_blocks));
+  mix(&req.max_dense_coarse, sizeof(req.max_dense_coarse));
+  return key;
 }
 
 HaloFrameMsg halo_to_wire(std::size_t from, std::size_t to, HaloTag tag,

@@ -3,7 +3,11 @@
 // service (DESIGN.md section 14). Every message is one frame:
 //
 //   [u32 magic "aMG1"] [u8 version] [u8 type] [u16 reserved = 0]
-//   [u32 payload_len]  [u32 payload FNV-1a-32 checksum] [payload bytes]
+//   [u32 payload_len]  [u32 payload checksum] [payload bytes]
+//
+// Version 2: a solve request names its setup by key (setup_key below) and
+// carries the hierarchy only after the worker answers kSetupMiss; the
+// checksum hashes the payload in 8-byte words (wire_checksum).
 //
 // All integers are little-endian ON THE WIRE regardless of host order --
 // encode/decode goes through explicit byte shifts, never memcpy of host
@@ -23,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "amg/hierarchy.hpp"
 #include "shard/transport.hpp"
 
 namespace asyncmg {
@@ -34,7 +39,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -52,6 +57,7 @@ enum class MsgType : std::uint8_t {
   kStatsRequest,    // router -> worker
   kStatsResponse,   // worker -> router: metrics JSON
   kShutdown,        // router -> worker: exit cleanly
+  kSetupMiss,       // worker -> router: resend the request with the hierarchy
 };
 
 const char* msg_type_name(MsgType t);
@@ -113,7 +119,9 @@ class WireReader {
   std::size_t off_ = 0;
 };
 
-/// FNV-1a over a byte range, folded to 32 bits (frame checksum).
+/// Frame checksum: FNV-1a-64 over the range read as little-endian 8-byte
+/// words (byte-wise over the last size % 8 bytes), folded to 32 bits. One
+/// multiply per word instead of per byte; the same value on any host order.
 std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t size);
 
 // ---------------------------------------------------------------------------
@@ -155,11 +163,13 @@ struct HelloAckMsg {
   std::uint32_t num_shards = 1;
 };
 
-/// Everything a worker needs to run one shard of a solve. The hierarchy
-/// travels as the PR 7 serialization (bit-exact round trip), so every
-/// participant deterministically reconstructs the SAME MgSetup and
-/// ShardPlan -- no further coordination is needed for the BSP discipline to
-/// be bitwise reproducible across processes.
+/// Everything a worker needs to run one shard of a solve. The setup is named
+/// by `setup_key`; a worker that has it cached solves from the key alone,
+/// and one that does not answers kSetupMiss, after which the coordinator
+/// resends the request with the hierarchy in the amg/serialize format
+/// (bit-exact round trip). Either way every participant holds the SAME
+/// MgSetup and ShardPlan -- no further coordination is needed for the BSP
+/// discipline to be bitwise reproducible across processes.
 struct SolveRequestMsg {
   std::uint32_t shard = 0;
   std::uint32_t num_shards = 1;
@@ -182,7 +192,10 @@ struct SolveRequestMsg {
   /// many corrections (-1 = never) -- a deterministic stand-in for SIGKILL
   /// in crash-recovery tests.
   std::int32_t crash_after = -1;
-  std::string hierarchy;  // save_hierarchy_string bytes
+  /// setup_key() of the hierarchy and the smoother fields above.
+  std::uint64_t setup_key = 0;
+  /// save_hierarchy_string bytes; empty in a key-only request.
+  std::string hierarchy;
   std::vector<double> b;
   std::vector<double> x0;
 };
@@ -227,6 +240,21 @@ struct StatsResponseMsg {
   std::string json;
 };
 
+/// The worker's setup cache does not hold `key`.
+struct SetupMissMsg {
+  std::uint32_t shard = 0;
+  std::uint64_t key = 0;
+};
+
+/// The 64-bit name of the setup a solve request asks for: every level's A
+/// and P (shape, precision tag and CSR arrays at their stored width), every
+/// level's C/F splitting, and the request's smoother and coarse-solve
+/// fields, chained through one hash. The coordinator computes it from its
+/// MgSetup, a worker from the hierarchy it loaded (amg/serialize round trips
+/// the arrays exactly); hashing in-memory arrays, it agrees across processes
+/// of one byte order (which bitwise BSP already assumes).
+std::uint64_t setup_key(const Hierarchy& h, const SolveRequestMsg& req);
+
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m);
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& m);
@@ -236,6 +264,7 @@ std::vector<std::uint8_t> encode_heartbeat(const HeartbeatMsg& m);
 std::vector<std::uint8_t> encode_peer_dead(const PeerDeadMsg& m);
 std::vector<std::uint8_t> encode_solve_done(const SolveDoneMsg& m);
 std::vector<std::uint8_t> encode_stats_response(const StatsResponseMsg& m);
+std::vector<std::uint8_t> encode_setup_miss(const SetupMissMsg& m);
 
 /// Decoders validate every field (enum ranges, payload fully consumed) and
 /// throw WireError on malformed input.
@@ -248,6 +277,7 @@ HeartbeatMsg decode_heartbeat(const std::vector<std::uint8_t>& p);
 PeerDeadMsg decode_peer_dead(const std::vector<std::uint8_t>& p);
 SolveDoneMsg decode_solve_done(const std::vector<std::uint8_t>& p);
 StatsResponseMsg decode_stats_response(const std::vector<std::uint8_t>& p);
+SetupMissMsg decode_setup_miss(const std::vector<std::uint8_t>& p);
 
 /// HaloFrameMsg <-> the shard executor's HaloPacket.
 HaloFrameMsg halo_to_wire(std::size_t from, std::size_t to, HaloTag tag,

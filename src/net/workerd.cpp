@@ -1,6 +1,7 @@
 #include "net/workerd.hpp"
 
-#include <chrono>
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -10,7 +11,6 @@
 #include "backend/backend.hpp"
 #include "multigrid/additive.hpp"
 #include "net/transport.hpp"
-#include "service/fingerprint.hpp"
 #include "shard/partition.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/sink.hpp"
@@ -55,39 +55,55 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
 
   MsgType type{};
   std::vector<std::uint8_t> payload;
-  try {
-    // Handshake: the coordinator answers the hello with our assignment.
+  // Reads the next frame into type/payload; returns how the session ends
+  // instead when the coordinator is gone or a stop is requested while idle.
+  auto next_frame = [&]() -> std::optional<SessionEnd> {
     for (;;) {
       const RecvStatus st = conn.recv_frame(type, payload, 100);
+      if (st == RecvStatus::kFrame) return std::nullopt;
       if (st == RecvStatus::kClosed) return SessionEnd::kPeerGone;
-      if (st == RecvStatus::kTimeout) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          return SessionEnd::kShutdown;
-        }
-        continue;
-      }
-      if (type == MsgType::kHelloAck) {
-        const HelloAckMsg ack = decode_hello_ack(payload);
-        if (ack.protocol != kWireVersion) return SessionEnd::kPeerGone;
-        break;
-      }
-      if (type == MsgType::kShutdown) return SessionEnd::kShutdown;
+      if (stop_.load(std::memory_order_relaxed)) return SessionEnd::kShutdown;
+    }
+  };
+  try {
+    // Handshake: the coordinator answers the hello with our assignment.
+    if (const auto end = next_frame()) return *end;
+    if (type == MsgType::kShutdown) return SessionEnd::kShutdown;
+    if (type != MsgType::kHelloAck ||
+        decode_hello_ack(payload).protocol != kWireVersion) {
       return SessionEnd::kPeerGone;  // protocol violation
     }
 
     for (;;) {
-      const RecvStatus st = conn.recv_frame(type, payload, 100);
-      if (st == RecvStatus::kClosed) return SessionEnd::kPeerGone;
-      if (st == RecvStatus::kTimeout) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          return SessionEnd::kShutdown;
-        }
-        continue;
-      }
+      if (const auto end = next_frame()) return *end;
       switch (type) {
         case MsgType::kSolveRequest: {
-          const SolveRequestMsg req = decode_solve_request(payload);
-          if (!handle_solve(conn, req)) return SessionEnd::kCrashed;
+          SolveRequestMsg req = decode_solve_request(payload);
+          const MgSetup* setup = setup_for(req);
+          Frames early;
+          if (setup == nullptr) {
+            // Key-only request for a setup we do not hold: the coordinator
+            // resends it with the hierarchy. Peers that hold the setup are
+            // solving already, and their relayed frames can overtake the
+            // resent request; they belong to this solve, so keep them.
+            SetupMissMsg miss;
+            miss.shard = req.shard;
+            miss.key = req.setup_key;
+            conn.send_frame(MsgType::kSetupMiss, encode_setup_miss(miss));
+            for (;;) {
+              if (const auto end = next_frame()) return *end;
+              if (type == MsgType::kSolveRequest) break;
+              early.emplace_back(type, std::move(payload));
+            }
+            req = decode_solve_request(payload);
+            if (req.hierarchy.empty()) {
+              throw WireError("setup miss answered without the hierarchy");
+            }
+            setup = setup_for(req);
+          }
+          if (!handle_solve(conn, req, *setup, early)) {
+            return SessionEnd::kCrashed;
+          }
           break;
         }
         case MsgType::kStatsRequest: {
@@ -109,42 +125,41 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
   }
 }
 
-const MgSetup& WorkerDaemon::setup_for(const SolveRequestMsg& req) {
-  std::uint64_t key =
-      fnv1a_bytes(req.hierarchy.data(), req.hierarchy.size());
-  const double omega = req.smoother_omega;
-  key = fnv1a_bytes(&omega, sizeof(omega), key);
-  const std::uint64_t rest =
-      (static_cast<std::uint64_t>(req.smoother_type) << 48) ^
-      (static_cast<std::uint64_t>(req.smoother_blocks) << 16) ^
-      static_cast<std::uint64_t>(req.max_dense_coarse);
-  key = fnv1a_bytes(&rest, sizeof(rest), key);
-
-  for (CacheEntry& e : cache_) {
-    if (e.key == key) {
-      ++cache_hits_;
-      return *e.setup;
-    }
+const MgSetup* WorkerDaemon::setup_for(const SolveRequestMsg& req) {
+  if (req.hierarchy.empty()) {
+    const auto it =
+        std::find_if(cache_.begin(), cache_.end(), [&](const CacheEntry& e) {
+          return e.key == req.setup_key;
+        });
+    if (it == cache_.end()) return nullptr;
+    ++cache_hits_;
+    std::rotate(it, it + 1, cache_.end());  // most recently used to the back
+    return cache_.back().setup.get();
   }
   ++cache_misses_;
+  Hierarchy h = load_hierarchy_string(req.hierarchy);
+  if (setup_key(h, req) != req.setup_key) {
+    throw WireError("solve request's setup key does not match its hierarchy");
+  }
   MgOptions mo;
   mo.smoother.type = static_cast<SmootherType>(req.smoother_type);
   mo.smoother.omega = req.smoother_omega;
   mo.smoother.num_blocks = req.smoother_blocks;
   mo.max_dense_coarse = static_cast<Index>(req.max_dense_coarse);
   CacheEntry e;
-  e.key = key;
-  e.setup = std::make_unique<MgSetup>(load_hierarchy_string(req.hierarchy),
-                                      mo);
+  e.key = req.setup_key;
+  e.setup = std::make_unique<MgSetup>(std::move(h), mo);
+  std::erase_if(cache_,
+                [&](const CacheEntry& c) { return c.key == req.setup_key; });
   if (cache_.size() >= opts_.setup_cache_entries) {
-    cache_.erase(cache_.begin());  // oldest
+    cache_.erase(cache_.begin());  // least recently used
   }
   cache_.push_back(std::move(e));
-  return *cache_.back().setup;
+  return cache_.back().setup.get();
 }
 
-bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
-  const MgSetup& setup = setup_for(req);
+bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
+                                const MgSetup& setup, const Frames& early) {
   AdditiveOptions ao;
   ao.kind = static_cast<AdditiveKind>(req.additive_kind);
   ao.afacx_s1 = req.afacx_s1;
@@ -200,37 +215,68 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
   wo.faults = req.crash_after >= 0 ? &faults : nullptr;
   wo.telemetry = opts_.telemetry;
 
-  std::atomic<bool> done{false};
+  // A dead peer's edges will never fill again: mark it on the board, then
+  // wake the solver if it is waiting on one of them.
+  auto peer_dead = [&](std::size_t p) {
+    board.apply_dead(p);
+    transport.peer_dead(p);
+  };
+  // Data plane (halo frames) and control plane (progress, peer deaths) of
+  // the solve. Throws WireError on a malformed frame.
+  auto dispatch = [&](MsgType type, const std::vector<std::uint8_t>& payload) {
+    switch (type) {
+      case MsgType::kHaloFrame:
+        transport.deliver(decode_halo_frame(payload));
+        break;
+      case MsgType::kProgress:
+        board.apply_progress(decode_progress(payload));
+        break;
+      case MsgType::kPeerDead:
+        peer_dead(decode_peer_dead(payload).shard);
+        break;
+      case MsgType::kShutdown:
+        stop_.store(true, std::memory_order_relaxed);
+        break;
+      default:
+        break;
+    }
+  };
+  // No thread runs yet, so a malformed early frame ends the session unsolved.
+  for (const auto& [type, payload] : early) dispatch(type, payload);
+
+  // The solver's return ends both helpers at once: the heartbeat thread
+  // waits on solver_done between beats, the reader polls it beside the
+  // socket.
+  WakeFd solver_done;
   ShardWorkerResult result;
   std::thread solver([&] {
     result = run_shard_worker(plan, corrector, req.b, x_local, r_view,
                               transport, board, wo);
-    done.store(true, std::memory_order_release);
+    solver_done.signal();
   });
   std::thread heartbeat([&] {
     std::uint64_t seq = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      HeartbeatMsg hb;
-      hb.shard = static_cast<std::uint32_t>(s);
-      hb.commits = static_cast<std::uint64_t>(board.commits(s));
-      hb.seq = seq++;
-      conn.send_frame(MsgType::kHeartbeat, encode_heartbeat(hb));
-      // Sleep in short slices so the thread ends promptly with the solve.
-      double slept = 0.0;
-      while (slept < opts_.heartbeat_ms &&
-             !done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        slept += 5.0;
-      }
+    try {
+      do {
+        HeartbeatMsg hb;
+        hb.shard = static_cast<std::uint32_t>(s);
+        hb.commits = static_cast<std::uint64_t>(board.commits(s));
+        hb.seq = seq++;
+        conn.send_frame(MsgType::kHeartbeat, encode_heartbeat(hb));
+      } while (!solver_done.wait_for(opts_.heartbeat_ms));
+    } catch (const std::exception&) {
+      // Cannot keep beating: drop the connection, so the coordinator
+      // reports this worker dead now rather than at its heartbeat timeout
+      // (and the reader below lets the solver finish locally).
+      conn.shutdown_both();
     }
   });
 
-  // Reader: feed the data plane (halo frames) and the control plane
-  // (progress, peer deaths) until the solver finishes.
+  // Reader: dispatch frames until the solver finishes.
   MsgType type{};
   std::vector<std::uint8_t> payload;
   bool coordinator_gone = false;
-  while (!done.load(std::memory_order_acquire)) {
+  for (;;) {
     // The whole receive + decode + dispatch step runs under the try: the
     // solver and heartbeat threads are joinable here, so no exception may
     // unwind past this loop (that would std::terminate the daemon). A
@@ -240,27 +286,12 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
     // connection.
     bool lost = false;
     try {
-      const RecvStatus st = conn.recv_frame(type, payload, 20);
-      if (st == RecvStatus::kTimeout) continue;
-      if (st == RecvStatus::kClosed) {
+      const RecvStatus st = conn.recv_frame(type, payload, -1, &solver_done);
+      if (st == RecvStatus::kWoken) break;  // the solver returned
+      if (st != RecvStatus::kFrame) {
         lost = true;
       } else {
-        switch (type) {
-          case MsgType::kHaloFrame:
-            transport.deliver(decode_halo_frame(payload));
-            break;
-          case MsgType::kProgress:
-            board.apply_progress(decode_progress(payload));
-            break;
-          case MsgType::kPeerDead:
-            board.apply_dead(decode_peer_dead(payload).shard);
-            break;
-          case MsgType::kShutdown:
-            stop_.store(true, std::memory_order_relaxed);
-            break;
-          default:
-            break;
-        }
+        dispatch(type, payload);
       }
     } catch (const std::exception&) {
       lost = true;  // protocol violation: treat as lost link
@@ -271,7 +302,7 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req) {
       // waiting forever -- Criterion-2 from the worker's side.
       coordinator_gone = true;
       for (std::size_t p = 0; p < req.num_shards; ++p) {
-        if (p != s) board.apply_dead(p);
+        if (p != s) peer_dead(p);
       }
       break;
     }

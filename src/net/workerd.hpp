@@ -12,18 +12,26 @@
 //                          -> NetPeerBoard, kShutdown -> stop after the
 //                          solve. A closed connection marks every peer dead
 //                          so the solver finishes locally instead of
-//                          waiting on relays that will never come.
+//                          waiting on relays that will never come. Blocks
+//                          in recv_frame until a frame arrives or the
+//                          solver signals its WakeFd on return.
 //   solver thread          run_shard_worker, untouched.
 //   heartbeat thread       kHeartbeat every heartbeat_ms so the coordinator
-//                          can tell a slow worker from a dead one.
+//                          can tell a slow worker from a dead one; between
+//                          beats it waits on the solver's WakeFd, so it
+//                          ends with the solve.
 //
 // Determinism: the worker rebuilds the full MgSetup and ShardPlan from the
-// request's serialized hierarchy (amg/serialize round trips bit-exactly)
-// and computes the initial residual itself, so every process starts from
+// serialized hierarchy (amg/serialize round trips bit-exactly) and
+// computes the initial residual itself, so every process starts from
 // identical state with no data exchange beyond the request. Setups are
-// cached by hierarchy-bytes hash: repeated solves on the same operator skip
-// the smoother/interpolant rebuild (the remote analogue of the service's
-// HierarchyCache affinity).
+// cached by the request's setup_key (net/wire.hpp) in a small LRU: a
+// request names its setup by key alone, a cached key solves at once (the
+// remote analogue of the service's HierarchyCache affinity), and a miss is
+// answered with kSetupMiss, after which the coordinator resends the request
+// with the hierarchy. A request that carries a hierarchy is always loaded
+// and its key recomputed; a key that disagrees with the bytes is a protocol
+// violation that ends the session unsolved.
 //
 // The kSolveRequest crash_after hook makes the worker drop the connection
 // without kSolveDone after that many corrections -- a deterministic SIGKILL
@@ -35,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "multigrid/setup.hpp"
@@ -88,11 +97,19 @@ class WorkerDaemon {
  private:
   enum class SessionEnd { kPeerGone, kShutdown, kCrashed };
 
+  /// Frames (type, payload) received but not yet dispatched.
+  using Frames = std::vector<std::pair<MsgType, std::vector<std::uint8_t>>>;
+
   SessionEnd serve(FrameConn& conn);
-  /// Runs one solve over `conn`; false means the crash hook fired and the
-  /// connection must be dropped without kSolveDone.
-  bool handle_solve(FrameConn& conn, const SolveRequestMsg& req);
-  const MgSetup& setup_for(const SolveRequestMsg& req);
+  /// Runs one solve over `conn`, first dispatching `early` (frames of this
+  /// solve that overtook a resent request); false means the crash hook
+  /// fired and the connection must be dropped without kSolveDone.
+  bool handle_solve(FrameConn& conn, const SolveRequestMsg& req,
+                    const MgSetup& setup, const Frames& early);
+  /// The setup the request names: the cached one for a key-only request
+  /// (nullptr on a miss), else the request's hierarchy, loaded and cached.
+  /// Throws WireError when that hierarchy's key is not the request's.
+  const MgSetup* setup_for(const SolveRequestMsg& req);
 
   WorkerDaemonOptions opts_;
   ListenSocket listener_;
@@ -102,7 +119,7 @@ class WorkerDaemon {
     std::uint64_t key = 0;
     std::unique_ptr<MgSetup> setup;
   };
-  std::vector<CacheEntry> cache_;  // newest at the back
+  std::vector<CacheEntry> cache_;  // most recently used at the back
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t solves_ = 0;

@@ -7,8 +7,8 @@
 // partitioner (shard/partition.hpp). Each shard owns its block of x and of
 // the fine residual and computes its residual rows with the halo-aware
 // local stencil; coarse levels are replicated per shard (in process they
-// share the immutable MgSetup -- the multi-process seam would ship the
-// serialized hierarchy instead), so every shard can form the full additive
+// share the immutable MgSetup -- worker processes cache a copy each, see
+// src/net), so every shard can form the full additive
 // correction from its *view* of the global residual and commit only the
 // rows it owns. This is the paper's global-res discipline across shard
 // boundaries: a shard trusts its possibly-stale halo/residual view and

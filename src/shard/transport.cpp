@@ -1,10 +1,19 @@
 #include "shard/transport.hpp"
 
 #include <stdexcept>
+#include <thread>
 
 #include "telemetry/registry.hpp"
 
 namespace asyncmg {
+
+void Transport::wait_next(std::size_t, std::size_t, HaloTag, int spins) {
+  if (spins < 256) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
 
 ChannelTransport::ChannelTransport(ChannelTransportOptions opts)
     : opts_(opts) {

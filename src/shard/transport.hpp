@@ -65,6 +65,14 @@ class Transport {
   virtual bool recv_next(std::size_t to, std::size_t from, HaloTag tag,
                          HaloPacket& out) = 0;
 
+  /// Pauses the BSP wait for the edge's next packet before it polls
+  /// recv_next again; `spins` counts the pauses of this wait so far. The
+  /// default yields for the first 255, then sleeps 50 us (an in-process
+  /// ring has no delivery signal to block on). Transports filled by another
+  /// thread override it to block until delivery.
+  virtual void wait_next(std::size_t to, std::size_t from, HaloTag tag,
+                         int spins);
+
   virtual std::uint64_t packets_sent() const = 0;
   virtual std::uint64_t packets_dropped() const = 0;
 };

@@ -9,25 +9,20 @@ namespace asyncmg {
 
 namespace {
 
-/// BSP wait: FIFO-pops the next frame from `p`, yielding until one arrives
-/// or `p` is dead. Publishes happen-before a peer's death (its frames were
-/// queued before the dead flag was raised and transports deliver per-edge
-/// in order), so one final recv after observing death is enough to consume
-/// anything it managed to publish; after that the caller keeps its stale
-/// view -- lost-message semantics, never a deadlock.
+/// BSP wait: FIFO-pops the next frame from `p`, pausing in
+/// Transport::wait_next until one arrives or `p` is dead. Publishes
+/// happen-before a peer's death (its frames were queued before the dead
+/// flag was raised and transports deliver per-edge in order), so one final
+/// recv after observing death is enough to consume anything it managed to
+/// publish; after that the caller keeps its stale view -- lost-message
+/// semantics, never a deadlock.
 bool await_frame(Transport& transport, const PeerBoard& board, std::size_t s,
                  std::size_t p, HaloTag tag, HaloPacket& pkt) {
   int spins = 0;
   for (;;) {
     if (transport.recv_next(s, p, tag, pkt)) return true;
     if (board.dead(p)) return transport.recv_next(s, p, tag, pkt);
-    if (++spins < 256) {
-      std::this_thread::yield();
-    } else {
-      // Socket transports fill mailboxes from a reader thread; back off a
-      // little so the wait does not starve it on oversubscribed hosts.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    transport.wait_next(s, p, tag, ++spins);
   }
 }
 

@@ -29,12 +29,12 @@ namespace asyncmg {
 namespace {
 
 struct Fixture {
-  explicit Fixture(int m = 8) {
-    Problem prob = make_laplace_7pt(m);
+  explicit Fixture(int m = 8) : Fixture(make_laplace_7pt(m).a) {}
+  explicit Fixture(CsrMatrix a) {
     MgOptions mo;
     mo.smoother.type = SmootherType::kWeightedJacobi;
     mo.smoother.omega = 0.9;
-    setup = std::make_unique<MgSetup>(std::move(prob.a), mo);
+    setup = std::make_unique<MgSetup>(std::move(a), mo);
     ao.kind = AdditiveKind::kMultadd;
     Rng rng(31);
     b = random_vector(static_cast<std::size_t>(setup->a(0).rows()), rng);
@@ -141,6 +141,7 @@ TEST(Wire, SolveRequestRoundTrip) {
   m.smoother_blocks = 8;
   m.max_dense_coarse = 1234;
   m.crash_after = 7;
+  m.setup_key = 0xFEDCBA9876543210ull;
   m.hierarchy = "not a real hierarchy\n\0binary-ish";
   m.b = {1.0, 2.0, 3.0};
   m.x0 = {0.0, -1.0, 0.5};
@@ -161,6 +162,7 @@ TEST(Wire, SolveRequestRoundTrip) {
   EXPECT_EQ(out.smoother_blocks, m.smoother_blocks);
   EXPECT_EQ(out.max_dense_coarse, m.max_dense_coarse);
   EXPECT_EQ(out.crash_after, m.crash_after);
+  EXPECT_EQ(out.setup_key, m.setup_key);
   EXPECT_EQ(out.hierarchy, m.hierarchy);
   EXPECT_EQ(out.b, m.b);
   EXPECT_EQ(out.x0, m.x0);
@@ -214,6 +216,72 @@ TEST(Wire, ControlMessagesRoundTrip) {
   const StatsResponseMsg st2 =
       decode_stats_response(encode_stats_response({"{\"x\":1}"}));
   EXPECT_EQ(st2.json, "{\"x\":1}");
+
+  const SetupMissMsg miss2 =
+      decode_setup_miss(encode_setup_miss({3, 0x0123456789ABCDEFull}));
+  EXPECT_EQ(miss2.shard, 3u);
+  EXPECT_EQ(miss2.key, 0x0123456789ABCDEFull);
+}
+
+TEST(Wire, SetupKeySurvivesSerializationAndNamesTheSetup) {
+  // A worker recomputes the key over the hierarchy it loaded, so the key
+  // must survive the serialization round trip; and it must change with the
+  // operator and with every smoother field the worker builds its setup from.
+  Fixture f;
+  SolveRequestMsg req;
+  req.smoother_type =
+      static_cast<std::uint8_t>(f.setup->options().smoother.type);
+  req.smoother_omega = f.setup->options().smoother.omega;
+  const std::uint64_t key = setup_key(f.setup->hierarchy(), req);
+  const Hierarchy loaded =
+      load_hierarchy_string(save_hierarchy_string(f.setup->hierarchy()));
+  EXPECT_EQ(setup_key(loaded, req), key);
+
+  SolveRequestMsg other = req;
+  other.smoother_type = static_cast<std::uint8_t>(SmootherType::kL1Jacobi);
+  EXPECT_NE(setup_key(loaded, other), key);
+  other = req;
+  other.smoother_omega = 0.8;
+  EXPECT_NE(setup_key(loaded, other), key);
+  other = req;
+  other.smoother_blocks = 2;
+  EXPECT_NE(setup_key(loaded, other), key);
+  other = req;
+  other.max_dense_coarse = 17;
+  EXPECT_NE(setup_key(loaded, other), key);
+  Fixture g(6);
+  EXPECT_NE(setup_key(g.setup->hierarchy(), req), key);
+}
+
+TEST(Wire, SetupKeyTellsTwoSignFlipsApart) {
+  // Word-wise FNV carries a difference confined to the top bit of a word
+  // through every later multiply unchanged, so two sign flips in one value
+  // array would cancel. The key must still tell such operators apart: a
+  // warm worker trusts it alone.
+  Fixture f;
+  const Hierarchy& h = f.setup->hierarchy();
+  SolveRequestMsg req;
+  const std::uint64_t key = setup_key(h, req);
+  const CsrMatrix& a = h.matrix(0);
+  const std::size_t nnz = static_cast<std::size_t>(a.nnz());
+  const std::pair<std::size_t, std::size_t> flips[] = {
+      {0, 1}, {3, 10}, {0, nnz - 1}};
+  for (const auto& [i, j] : flips) {
+    std::vector<double> v(a.values().begin(), a.values().end());
+    v[i] = -v[i];
+    v[j] = -v[j];
+    std::vector<AmgLevel> levels;
+    for (std::size_t k = 0; k < h.num_levels(); ++k) {
+      levels.push_back(h.level(k));
+    }
+    levels[0].a = CsrMatrix::from_csr(
+        a.rows(), a.cols(),
+        std::vector<Index>(a.row_ptr().begin(), a.row_ptr().end()),
+        std::vector<Index>(a.col_idx().begin(), a.col_idx().end()),
+        std::move(v));
+    const Hierarchy flipped = Hierarchy::from_levels(std::move(levels));
+    EXPECT_NE(setup_key(flipped, req), key) << "flips " << i << ", " << j;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -236,16 +304,28 @@ TEST(WireFuzz, TruncatedPayloadsAlwaysThrow) {
       EXPECT_THROW(decode_halo_frame(trunc), WireError) << "cut=" << cut;
     }
   }
-  // Same for the big composite message.
+  // Same for the big composite message, full and key-only, and the miss.
   SolveRequestMsg req;
+  req.setup_key = 0x5EEDull;
   req.hierarchy = "hier";
   req.b = {1.0, 2.0};
   req.x0 = {0.0, 0.0};
-  const std::vector<std::uint8_t> payload = encode_solve_request(req);
-  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+  SolveRequestMsg key_only = req;
+  key_only.hierarchy.clear();
+  for (const SolveRequestMsg& m : {req, key_only}) {
+    const std::vector<std::uint8_t> payload = encode_solve_request(m);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::vector<std::uint8_t> trunc(
+          payload.begin(),
+          payload.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_THROW(decode_solve_request(trunc), WireError);
+    }
+  }
+  const std::vector<std::uint8_t> miss = encode_setup_miss({1, 0x5EEDull});
+  for (std::size_t cut = 0; cut < miss.size(); ++cut) {
     const std::vector<std::uint8_t> trunc(
-        payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_THROW(decode_solve_request(trunc), WireError);
+        miss.begin(), miss.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(decode_setup_miss(trunc), WireError) << "cut=" << cut;
   }
 }
 
@@ -278,33 +358,63 @@ TEST(WireFuzz, CorruptedFramesDetected) {
   // Flip each single bit of a framed message: the decode pipeline (header
   // validation -> length check -> checksum -> typed decode) must throw for
   // every flip outside the type byte, and must never crash for any flip.
+  // The corpus holds a halo frame, a key-only solve request and a setup
+  // miss, each decoded as the type it was sent as.
   Rng rng(5);
-  const HaloFrameMsg m = random_halo(rng, WireWidth::kF64, 9);
-  const std::vector<std::uint8_t> frame =
-      encode_frame(MsgType::kHaloFrame, encode_halo_frame(m));
-
-  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> f = frame;
-      f[byte] = static_cast<std::uint8_t>(f[byte] ^ (1u << bit));
-      bool threw = false;
-      try {
-        const FrameHeader h = decode_frame_header(f.data(), f.size());
-        if (f.size() != kFrameHeaderBytes + h.payload_len) {
-          throw WireError("length mismatch");  // reassembly-layer check
+  SolveRequestMsg key_only;
+  key_only.setup_key = rng.next_u64();
+  key_only.b = {1.0, -2.0, 0.5};
+  key_only.x0 = {0.0, 0.25, 0.0};
+  const std::vector<std::pair<MsgType, std::vector<std::uint8_t>>> corpus = {
+      {MsgType::kHaloFrame,
+       encode_halo_frame(random_halo(rng, WireWidth::kF64, 9))},
+      {MsgType::kSolveRequest, encode_solve_request(key_only)},
+      {MsgType::kSetupMiss, encode_setup_miss({1, rng.next_u64()})},
+  };
+  for (const auto& [sent_as, payload] : corpus) {
+    const std::vector<std::uint8_t> frame = encode_frame(sent_as, payload);
+    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<std::uint8_t> f = frame;
+        f[byte] = static_cast<std::uint8_t>(f[byte] ^ (1u << bit));
+        bool threw = false;
+        try {
+          const FrameHeader h = decode_frame_header(f.data(), f.size());
+          if (f.size() != kFrameHeaderBytes + h.payload_len) {
+            throw WireError("length mismatch");  // reassembly-layer check
+          }
+          verify_frame_payload(h, f.data() + kFrameHeaderBytes);
+          const std::vector<std::uint8_t> p(
+              f.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
+              f.end());
+          if (sent_as == MsgType::kHaloFrame) {
+            (void)decode_halo_frame(p);
+          } else if (sent_as == MsgType::kSolveRequest) {
+            (void)decode_solve_request(p);
+          } else {
+            (void)decode_setup_miss(p);
+          }
+        } catch (const WireError&) {
+          threw = true;
         }
-        verify_frame_payload(h, f.data() + kFrameHeaderBytes);
-        (void)decode_halo_frame(std::vector<std::uint8_t>(
-            f.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
-            f.end()));
-      } catch (const WireError&) {
-        threw = true;
-      }
-      if (byte != 5) {  // type byte: a flip may yield another valid type
-        EXPECT_TRUE(threw) << "byte " << byte << " bit " << bit;
+        if (byte != 5) {  // type byte: a flip may yield another valid type
+          EXPECT_TRUE(threw) << msg_type_name(sent_as) << " byte " << byte
+                             << " bit " << bit;
+        }
       }
     }
   }
+}
+
+TEST(WireFuzz, VersionOneFrameRejected) {
+  // A version-1 peer hashes payloads byte by byte and expects the hierarchy
+  // in every request: its frames are refused at the header.
+  std::vector<std::uint8_t> frame =
+      encode_frame(MsgType::kProgress, encode_progress({1, 2}));
+  ASSERT_EQ(frame[4], kWireVersion);
+  ASSERT_NO_THROW(decode_frame_header(frame.data(), frame.size()));
+  frame[4] = 1;
+  EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,12 +625,14 @@ TEST(NetTransport, PeerBoardPublishesAndApplies) {
 // ---------------------------------------------------------------------------
 
 struct DaemonSet {
-  explicit DaemonSet(std::size_t n) {
+  explicit DaemonSet(std::size_t n, std::size_t setup_cache_entries =
+                                        WorkerDaemonOptions{}
+                                            .setup_cache_entries) {
     for (std::size_t i = 0; i < n; ++i) {
       WorkerDaemonOptions wo;
       wo.port = 0;
-      wo.name = "w";
-      wo.name += std::to_string(i);
+      wo.name = std::string(1, 'w') + std::to_string(i);
+      wo.setup_cache_entries = setup_cache_entries;
       daemons.push_back(std::make_unique<WorkerDaemon>(wo));
       endpoints.push_back({"127.0.0.1", daemons.back()->port()});
     }
@@ -739,6 +851,7 @@ TEST(NetWorkerd, SurvivesMalformedCoordinatorFrame) {
         static_cast<std::uint32_t>(f.setup->options().smoother.num_blocks);
     req.max_dense_coarse =
         static_cast<std::int64_t>(f.setup->options().max_dense_coarse);
+    req.setup_key = setup_key(f.setup->hierarchy(), req);
     req.hierarchy = hierarchy;
     req.b = f.b;
     req.x0 = Vector(f.b.size(), 0.0);
@@ -840,6 +953,271 @@ TEST(NetCluster, SetupCacheWarmAcrossSolves) {
   EXPECT_NE(stats.find("\"setup_cache_hits\":1"), std::string::npos);
 }
 
+Vector bsp_oracle(const Fixture& f, int t_max) {
+  ShardOptions so;
+  so.mode = ShardMode::kSynchronous;
+  so.t_max = t_max;
+  so.num_shards = 1;
+  ShardedSolver oracle(*f.setup, f.ao, so);
+  Vector x(f.b.size(), 0.0);
+  oracle.solve(f.b, x);
+  return x;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetCluster, SingleEntryCacheMissesEveryAlternation) {
+  // Workers that cache one setup, alternating two operators: every solve
+  // takes the kSetupMiss path on every worker, and every answer is still
+  // bitwise the in-process oracle's.
+  const Fixture fa(8);
+  const Fixture fb(6);
+  const int t_max = 5;
+  const Vector xa = bsp_oracle(fa, t_max);
+  const Vector xb = bsp_oracle(fb, t_max);
+
+  DaemonSet fleet(2, 1);
+  ClusterOptions co;
+  co.endpoints = fleet.endpoints;
+  ClusterCoordinator coordinator(co);
+  ClusterSolveOptions cso;
+  cso.bsp = true;
+  cso.t_max = t_max;
+  cso.additive = fa.ao;
+  for (int it = 0; it < 4; ++it) {
+    const Fixture& f = it % 2 == 0 ? fa : fb;
+    const Vector& oracle = it % 2 == 0 ? xa : xb;
+    Vector x(f.b.size(), 0.0);
+    const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+    EXPECT_TRUE(r.dead_workers.empty()) << "solve " << it;
+    EXPECT_EQ(r.setup_misses, 2u) << "solve " << it;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], oracle[i]) << "solve " << it << ", row " << i;
+    }
+  }
+  const std::string stats = coordinator.stats_json();
+  EXPECT_EQ(count_of(stats, "\"setup_cache_misses\":4"), 2u) << stats;
+  EXPECT_EQ(count_of(stats, "\"setup_cache_hits\":0"), 2u) << stats;
+}
+
+/// The 7pt Laplacian on an m^3 grid with its middle row stored oddly, as
+/// CsrMatrix::from_csr allows: columns in reverse order, or (duplicate) the
+/// row's first entry stored as two halves in one column.
+CsrMatrix laplace_stored_oddly(int m, bool duplicate) {
+  const CsrMatrix a = make_laplace_7pt(m).a;
+  std::vector<Index> rp(a.row_ptr().begin(), a.row_ptr().end());
+  std::vector<Index> ci(a.col_idx().begin(), a.col_idx().end());
+  std::vector<double> v(a.values().begin(), a.values().end());
+  const auto row = static_cast<std::size_t>(a.rows() / 2);
+  const auto first = static_cast<std::ptrdiff_t>(rp[row]);
+  const auto last = static_cast<std::ptrdiff_t>(rp[row + 1]);
+  if (duplicate) {
+    v[static_cast<std::size_t>(first)] *= 0.5;
+    ci.insert(ci.begin() + first + 1, ci[static_cast<std::size_t>(first)]);
+    v.insert(v.begin() + first + 1, v[static_cast<std::size_t>(first)]);
+    for (std::size_t r = row + 1; r < rp.size(); ++r) ++rp[r];
+  } else {
+    std::reverse(ci.begin() + first, ci.begin() + last);
+    std::reverse(v.begin() + first, v.begin() + last);
+  }
+  return CsrMatrix::from_csr(a.rows(), a.cols(), std::move(rp), std::move(ci),
+                             std::move(v));
+}
+
+TEST(NetCluster, OperatorStoredOutOfColumnOrderSolvesBitwise) {
+  // A worker recomputes the key over the hierarchy it loaded, so loading
+  // must give back the coordinator's arrays exactly -- also for an A0 with
+  // a row stored out of column order or with a column twice, which
+  // Hierarchy::build keeps as given. Exact arrays also make the answer
+  // bitwise the in-process oracle's.
+  for (const bool duplicate : {false, true}) {
+    const Fixture f(laplace_stored_oddly(8, duplicate));
+    const int t_max = 5;
+    const Vector oracle = bsp_oracle(f, t_max);
+    DaemonSet fleet(2);
+    ClusterOptions co;
+    co.endpoints = fleet.endpoints;
+    ClusterCoordinator coordinator(co);
+    ClusterSolveOptions cso;
+    cso.bsp = true;
+    cso.t_max = t_max;
+    cso.additive = f.ao;
+    Vector x(f.b.size(), 0.0);
+    const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+    EXPECT_TRUE(r.dead_workers.empty()) << "duplicate " << duplicate;
+    EXPECT_EQ(r.setup_misses, 2u) << "duplicate " << duplicate;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], oracle[i]) << "duplicate " << duplicate << ", row " << i;
+    }
+  }
+}
+
+TEST(NetCluster, MixedFleetKeepsFramesThatOvertakeTheResentRequest) {
+  // Two workers that hold the setup start solving at once, while a fresh
+  // third one misses and waits for the hierarchy: the hit workers' first
+  // relayed frames can reach it before its resent request. They belong to
+  // the solve and must be kept, or its BSP rounds never complete.
+  Fixture f;
+  const int t_max = 6;
+  ClusterSolveOptions cso;
+  cso.bsp = true;
+  cso.t_max = t_max;
+  cso.additive = f.ao;
+  DaemonSet warm(2);
+  {
+    ClusterOptions co;
+    co.endpoints = warm.endpoints;
+    Vector x(f.b.size(), 0.0);
+    ASSERT_TRUE(ClusterCoordinator(co)
+                    .solve(*f.setup, f.b, x, cso)
+                    .dead_workers.empty());
+  }
+  const Vector oracle = bsp_oracle(f, t_max);
+  for (int it = 0; it < 3; ++it) {
+    DaemonSet fresh(1);
+    ClusterOptions co;
+    co.endpoints = {warm.endpoints[0], warm.endpoints[1], fresh.endpoints[0]};
+    ClusterCoordinator coordinator(co);
+    Vector x(f.b.size(), 0.0);
+    const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+    EXPECT_TRUE(r.dead_workers.empty()) << "solve " << it;
+    EXPECT_EQ(r.setup_misses, 1u) << "solve " << it;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], oracle[i]) << "solve " << it << ", row " << i;
+    }
+  }
+}
+
+/// Man in the middle for one coordinator session with a real worker: relays
+/// every frame both ways, but flips the setup key of any solve request that
+/// carries a hierarchy, so the worker receives bytes that disagree with
+/// their key.
+class KeyFlipProxy {
+ public:
+  explicit KeyFlipProxy(std::uint16_t worker_port)
+      : listener_(0), thread_([this, worker_port] { run(worker_port); }) {}
+  ~KeyFlipProxy() { thread_.join(); }
+  std::uint16_t port() const { return listener_.port(); }
+
+ private:
+  void run(std::uint16_t worker_port) {
+    try {
+      FrameConn up(listener_.accept(10000));
+      FrameConn down(connect_tcp("127.0.0.1", worker_port, 5000));
+      std::thread back([&] {
+        MsgType type{};
+        std::vector<std::uint8_t> payload;
+        try {
+          while (down.recv_frame(type, payload, 10000) == RecvStatus::kFrame) {
+            up.send_frame(type, payload);
+          }
+        } catch (const std::exception&) {
+        }
+        up.shutdown_both();
+      });
+      MsgType type{};
+      std::vector<std::uint8_t> payload;
+      try {
+        while (up.recv_frame(type, payload, 10000) == RecvStatus::kFrame) {
+          if (type == MsgType::kSolveRequest) {
+            SolveRequestMsg req = decode_solve_request(payload);
+            if (!req.hierarchy.empty()) {
+              req.setup_key ^= 1;
+              payload = encode_solve_request(req);
+            }
+          }
+          down.send_frame(type, payload);
+        }
+      } catch (const std::exception&) {
+      }
+      down.shutdown_both();
+      back.join();
+    } catch (const std::exception&) {
+    }
+  }
+
+  ListenSocket listener_;
+  std::thread thread_;
+};
+
+TEST(NetCluster, RequestWhoseKeyDisagreesWithItsHierarchyIsRefused) {
+  // The worker recomputes the key of every hierarchy it loads. A request
+  // whose key names another setup is a protocol violation: the worker drops
+  // the session unsolved, the coordinator reports it dead, and the
+  // survivors finish every round.
+  Fixture f;
+  DaemonSet fleet(3);
+  KeyFlipProxy proxy(fleet.endpoints[1].port);
+  ClusterOptions co;
+  co.endpoints = {fleet.endpoints[0],
+                  {"127.0.0.1", proxy.port()},
+                  fleet.endpoints[2]};
+  ClusterCoordinator coordinator(co);
+  ClusterSolveOptions cso;
+  cso.bsp = true;
+  cso.t_max = 6;
+  cso.additive = f.ao;
+  Vector x(f.b.size(), 0.0);
+  const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+  EXPECT_EQ(r.setup_misses, 3u);
+  ASSERT_EQ(r.dead_workers, std::vector<std::size_t>{1});
+  EXPECT_EQ(r.corrections[0], cso.t_max);
+  EXPECT_EQ(r.corrections[1], 0);
+  EXPECT_EQ(r.corrections[2], cso.t_max);
+  EXPECT_TRUE(std::isfinite(r.final_rel_res));
+
+  ClusterOptions one;
+  one.endpoints = {fleet.endpoints[1]};
+  const std::string stats = ClusterCoordinator(one).stats_json();
+  EXPECT_NE(stats.find("\"solves\":0"), std::string::npos) << stats;
+}
+
+TEST(NetCluster, RefusesProtocolOneWorker) {
+  // A worker that still speaks protocol 1 is refused at the handshake: no
+  // assignment, and the solve fails once the connection attempts run out.
+  ListenSocket old_listener(0);
+  std::thread old_worker([&] {
+    try {
+      FrameConn conn(old_listener.accept(10000));
+      HelloMsg hello;
+      hello.protocol = 1;
+      hello.name = "v1";
+      conn.send_frame(MsgType::kHello, encode_hello(hello));
+      MsgType type{};
+      std::vector<std::uint8_t> payload;
+      while (conn.recv_frame(type, payload, 10000) == RecvStatus::kFrame) {
+        ADD_FAILURE() << "coordinator answered a protocol-1 hello with "
+                      << msg_type_name(type);
+      }
+    } catch (const std::exception&) {
+    }
+  });
+  ClusterOptions co;
+  co.endpoints = {{"127.0.0.1", old_listener.port()}};
+  co.connect_attempts = 1;
+  ClusterCoordinator coordinator(co);
+  Fixture f;
+  Vector x(f.b.size(), 0.0);
+  ClusterSolveOptions cso;
+  cso.t_max = 2;
+  try {
+    coordinator.solve(*f.setup, f.b, x, cso);
+    ADD_FAILURE() << "solve against a protocol-1 worker returned";
+  } catch (const SocketError& e) {
+    EXPECT_NE(std::string(e.what()).find("incompatible worker"),
+              std::string::npos)
+        << e.what();
+  }
+  old_worker.join();
+}
+
 // ---------------------------------------------------------------------------
 // ClusterRouter placement
 // ---------------------------------------------------------------------------
@@ -888,6 +1266,43 @@ TEST(NetRouter, RoutesSolveToHomeWorkers) {
   // The two home workers each served one solve; the third served none.
   EXPECT_NE(stats.find("\"solves\":1"), std::string::npos);
   EXPECT_NE(stats.find("\"solves\":0"), std::string::npos);
+}
+
+TEST(NetRouter, RepeatedSolveShipsOnlyTheSetupKey) {
+  // Two solves of one operator through the router land on the same home
+  // workers. The first ships the hierarchy to each (one kSetupMiss per
+  // worker); the second names the setup by key alone, so the coordinator
+  // sends at least one serialized hierarchy less per worker, and the
+  // answers are bitwise equal.
+  Fixture f;
+  DaemonSet fleet(3);
+  ClusterRouterOptions ro;
+  ro.endpoints = fleet.endpoints;
+  ro.shards_per_solve = 2;
+  ClusterRouter router(ro);
+  ClusterSolveOptions cso;
+  cso.t_max = 6;
+  cso.additive = f.ao;
+
+  Vector x1(f.b.size(), 0.0);
+  const ClusterResult r1 = router.solve(*f.setup, f.b, x1, cso);
+  Vector x2(f.b.size(), 0.0);
+  const ClusterResult r2 = router.solve(*f.setup, f.b, x2, cso);
+  EXPECT_TRUE(r1.dead_workers.empty());
+  EXPECT_TRUE(r2.dead_workers.empty());
+  EXPECT_EQ(r1.setup_misses, 2u);
+  EXPECT_EQ(r2.setup_misses, 0u);
+  EXPECT_NE(r2.to_json().find("\"setup_misses\":0"), std::string::npos);
+  const std::size_t hierarchy_bytes =
+      save_hierarchy_string(f.setup->hierarchy()).size();
+  ASSERT_GT(r1.bytes_sent, r2.bytes_sent);
+  EXPECT_GE(r1.bytes_sent - r2.bytes_sent, 2 * hierarchy_bytes);
+  for (std::size_t i = 0; i < x1.size(); ++i) ASSERT_EQ(x1[i], x2[i]);
+
+  // Each home worker loaded the hierarchy once; the third never saw it.
+  const std::string stats = router.stats_json();
+  EXPECT_EQ(count_of(stats, "\"setup_cache_misses\":1"), 2u) << stats;
+  EXPECT_EQ(count_of(stats, "\"setup_cache_hits\":1"), 2u) << stats;
 }
 
 }  // namespace

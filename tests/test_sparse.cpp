@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "backend/backend.hpp"
@@ -245,6 +248,43 @@ TEST(Io, MatrixMarketRoundTrip) {
   write_matrix_market(ss, a);
   const CsrMatrix b = read_matrix_market(ss);
   EXPECT_TRUE(a.approx_equal(b, 1e-14));
+}
+
+TEST(Io, StoredOrderRoundTripIsArrayExact) {
+  // Row 0 stores its columns out of order, row 1 one column twice: the
+  // stored-order reader keeps both as written, read_matrix_market sorts and
+  // merges.
+  const CsrMatrix a = CsrMatrix::from_csr(2, 3, {0, 3, 6}, {2, 0, 1, 1, 1, 0},
+                                          {1.0 / 3.0, -2.0, 0.5, 4.0, 1e-300,
+                                           -0.0});
+  std::stringstream ss;
+  write_matrix_market(ss, a);
+  const std::string text = ss.str();
+  std::stringstream in(text);
+  const CsrMatrix b = read_matrix_market_stored(in);
+  ASSERT_TRUE(std::ranges::equal(b.row_ptr(), a.row_ptr()));
+  ASSERT_TRUE(std::ranges::equal(b.col_idx(), a.col_idx()));
+  for (std::size_t k = 0; k < 6; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.values()[k]),
+              std::bit_cast<std::uint64_t>(a.values()[k]))
+        << k;
+  }
+  std::stringstream canon(text);
+  EXPECT_EQ(read_matrix_market(canon).nnz(), 5);
+}
+
+TEST(Io, StoredOrderRejectsRowsOutOfOrder) {
+  std::stringstream ss;
+  ss << "%%MatrixMarket matrix coordinate real general\n"
+     << "2 2 2\n"
+     << "2 1 1.0\n"
+     << "1 1 1.0\n";
+  EXPECT_THROW(read_matrix_market_stored(ss), std::runtime_error);
+  std::stringstream sym;
+  sym << "%%MatrixMarket matrix coordinate real symmetric\n"
+      << "1 1 1\n"
+      << "1 1 1.0\n";
+  EXPECT_THROW(read_matrix_market_stored(sym), std::runtime_error);
 }
 
 TEST(Io, SymmetricExpansion) {
