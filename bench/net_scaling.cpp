@@ -15,8 +15,8 @@
 //      must detect the dead peer and return normally -- never hang. The kill
 //      is timed, so the harness escalates t_max until it lands mid-solve.
 //   4. Setup key path: in every sweep row the first solve on a fresh fleet
-//      takes the kSetupMiss path on every worker, the warm solves after it
-//      on none, and all of them return the same bits.
+//      ships the hierarchy to every worker, the warm solves after it to
+//      none, and all of them return the same bits.
 //
 // The worker-count x problem-size sweep runs each row on a fresh fleet and
 // reports the first (cold) solve apart from the median of the warm solves
@@ -330,9 +330,9 @@ int main(int argc, char** argv) {
       if (m.first_setup_misses != m.workers || m.warm_setup_misses != 0 ||
           !same_bits) {
         std::cerr << "FAIL: setup key path with " << wc << " workers at n="
-                  << size << ": cold solve missed on " << m.first_setup_misses
-                  << " workers, warm solves missed " << m.warm_setup_misses
-                  << " times, answers "
+                  << size << ": cold solve shipped the hierarchy to "
+                  << m.first_setup_misses << " workers, warm solves to "
+                  << m.warm_setup_misses << ", answers "
                   << (same_bits ? "bitwise equal" : "differ") << "\n";
         return 1;
       }
@@ -356,8 +356,8 @@ int main(int argc, char** argv) {
                      Table::fmt(m.bytes_per_correction, 0)});
     }
   }
-  std::cout << "gate 4: every cold solve took the setup-miss path on every "
-               "worker, no warm solve missed, all answers bitwise equal\n\n";
+  std::cout << "gate 4: every cold solve shipped the hierarchy to every "
+               "worker, no warm one did, all answers bitwise equal\n\n";
   table.emit(cli.get("csv", ""));
   std::cout << "\nReading: the cold solve ships the hierarchy to every "
                "worker, which loads it; a warm solve ships only the setup "

@@ -7,7 +7,6 @@
 
 #include "async/driver.hpp"
 #include "async/team.hpp"
-#include "service/solver_pool.hpp"
 #include "sparse/vec.hpp"
 #include "telemetry/clock.hpp"
 #include "util/partition.hpp"
@@ -35,18 +34,9 @@ double RuntimeResult::mean_corrections() const {
 
 namespace {
 
-/// Runs `body(0..num_threads-1)` either as a gang on an external pool or on
-/// freshly spawned threads (the historical per-solve spawn/join path).
-void dispatch_threads(SolverPool* pool, std::size_t num_threads,
+/// Runs `body(0..num_threads-1)` on freshly spawned threads and joins them.
+void dispatch_threads(std::size_t num_threads,
                       const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    if (pool->size() < num_threads) {
-      throw std::invalid_argument(
-          "runtime: pool smaller than num_threads (gang would deadlock)");
-    }
-    pool->run_gang(num_threads, body);
-    return;
-  }
   std::vector<std::jthread> workers;
   workers.reserve(num_threads);
   for (std::size_t id = 0; id < num_threads; ++id) {
@@ -90,8 +80,7 @@ RuntimeResult run_shared_memory(const AdditiveCorrector& corrector,
   // invalid schedule) -- before any thread starts.
   const std::unique_ptr<ScheduleDriver> driver = make_driver(sh, teams);
 
-  // Flat global-id -> (team, rank) map so one gang body serves both the
-  // spawn path and the pool path.
+  // Flat global-id -> (team, rank) map, so one body serves every thread.
   struct Slot {
     Team* team = nullptr;
     std::size_t rank = 0;
@@ -102,7 +91,7 @@ RuntimeResult run_shared_memory(const AdditiveCorrector& corrector,
       slots[t.first_thread + r] = Slot{&t, r};
     }
   }
-  dispatch_threads(opts.pool, sh.num_threads, [&](std::size_t id) {
+  dispatch_threads(sh.num_threads, [&](std::size_t id) {
     driver->worker(Ctx{&sh, slots[id].team, slots[id].rank, id});
   });
 
@@ -123,8 +112,7 @@ RuntimeResult run_shared_memory(const AdditiveCorrector& corrector,
 }
 
 RuntimeResult run_mult_threaded(const MgSetup& setup, const Vector& b,
-                                Vector& x, int t_max, std::size_t num_threads,
-                                SolverPool* pool) {
+                                Vector& x, int t_max, std::size_t num_threads) {
   if (num_threads == 0) {
     throw std::invalid_argument("num_threads must be >= 1");
   }
@@ -238,7 +226,7 @@ RuntimeResult run_mult_threaded(const MgSetup& setup, const Vector& b,
     }
   };
 
-  dispatch_threads(pool, num_threads, worker);
+  dispatch_threads(num_threads, worker);
 
   RuntimeResult result;
   result.seconds = clock.seconds();

@@ -37,7 +37,6 @@
 
 namespace asyncmg {
 
-class SolverPool;
 class TelemetrySink;
 
 enum class ResComp { kGlobal, kLocal };
@@ -65,11 +64,6 @@ struct RuntimeOptions {
   /// commit instead, making traces reproducible). Costs one clock read per
   /// correction in the free-running modes.
   bool record_trace = false;
-  /// When set, the solve runs as a gang on this persistent pool instead of
-  /// spawning and joining num_threads fresh std::threads per call (the
-  /// service layer's amortization lever). Requires pool->size() >=
-  /// num_threads. Not owned; must outlive the call.
-  SolverPool* pool = nullptr;
   /// Telemetry event sink (see telemetry/sink.hpp): relaxations, shared
   /// reads, and fault injections are recorded per thread. nullptr (the
   /// default) disables instrumentation entirely; a disabled sink costs one
@@ -139,10 +133,8 @@ RuntimeResult run_shared_memory(const AdditiveCorrector& corrector,
 
 /// Threaded classical multiplicative V(1,1) baseline ("Mult"): every
 /// operation uses all threads with a global barrier between phases, as an
-/// OpenMP static-schedule implementation would. A non-null `pool` runs the
-/// phases as a gang on the persistent pool (see RuntimeOptions::pool).
+/// OpenMP static-schedule implementation would.
 RuntimeResult run_mult_threaded(const MgSetup& setup, const Vector& b,
-                                Vector& x, int t_max, std::size_t num_threads,
-                                SolverPool* pool = nullptr);
+                                Vector& x, int t_max, std::size_t num_threads);
 
 }  // namespace asyncmg

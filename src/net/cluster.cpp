@@ -76,7 +76,7 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions opts)
   opts_.validate();
 }
 
-std::unique_ptr<FrameConn> ClusterCoordinator::connect_worker(
+ClusterCoordinator::WorkerLink ClusterCoordinator::connect_worker(
     std::size_t i, std::uint64_t& retries) const {
   BackoffOptions bo = opts_.backoff;
   bo.seed = opts_.backoff.seed + i;  // decorrelate redial storms per worker
@@ -100,7 +100,7 @@ std::unique_ptr<FrameConn> ClusterCoordinator::connect_worker(
       if (st != RecvStatus::kFrame || type != MsgType::kHello) {
         throw SocketError("worker did not say hello");
       }
-      const HelloMsg hello = decode_hello(payload);
+      HelloMsg hello = decode_hello(payload);
       if (hello.role != WireRole::kWorker ||
           hello.protocol != kWireVersion) {
         throw SocketError("incompatible worker: " + hello.name);
@@ -111,7 +111,7 @@ std::unique_ptr<FrameConn> ClusterCoordinator::connect_worker(
       if (!conn->send_frame(MsgType::kHelloAck, encode_hello_ack(ack))) {
         throw SocketError("worker closed during handshake");
       }
-      return conn;
+      return {std::move(conn), std::move(hello.setup_keys)};
     } catch (const std::exception& e) {
       last_error = e.what();
     }
@@ -146,13 +146,17 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   res.corrections.assign(N, 0);
 
   std::vector<std::unique_ptr<FrameConn>> conns(N);
+  std::vector<std::vector<std::uint64_t>> cached(N);  // keys per hello
   for (std::size_t i = 0; i < N; ++i) {
-    conns[i] = connect_worker(i, res.connect_retries);
+    WorkerLink link = connect_worker(i, res.connect_retries);
+    conns[i] = std::move(link.conn);
+    cached[i] = std::move(link.setup_keys);
   }
 
-  // One key-only request per shard: a worker that holds the setup solves
-  // at once. One that misses answers kSetupMiss, and its reader resends the
-  // request with the hierarchy, serialized at most once per solve.
+  // One request per worker, all sent before any reader relays a frame, so
+  // TCP order keeps every frame of this solve behind its worker's request.
+  // A worker whose hello listed the setup key gets the key alone; any other
+  // also gets the hierarchy, serialized at most once per solve.
   SolveRequestMsg base;
   base.num_shards = static_cast<std::uint32_t>(N);
   base.bsp = so.bsp ? 1 : 0;
@@ -174,23 +178,21 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   base.setup_key = setup_key(setup.hierarchy(), base);
   base.b = b;
   base.x0 = x;
-  std::once_flag hierarchy_once;
   std::string hierarchy;
-  auto encode_request = [&](std::size_t i, bool with_hierarchy) {
+  for (std::size_t i = 0; i < N; ++i) {
     SolveRequestMsg req = base;
     req.shard = static_cast<std::uint32_t>(i);
     req.crash_after = so.crash_after.empty() ? -1 : so.crash_after[i];
-    if (with_hierarchy) {
-      std::call_once(hierarchy_once, [&] {
+    if (std::find(cached[i].begin(), cached[i].end(), base.setup_key) ==
+        cached[i].end()) {
+      if (hierarchy.empty()) {
         hierarchy = save_hierarchy_string(setup.hierarchy());
-      });
+      }
       req.hierarchy = hierarchy;
+      ++res.setup_misses;
     }
-    return encode_solve_request(req);
-  };
-  for (std::size_t i = 0; i < N; ++i) {
     if (!conns[i]->send_frame(MsgType::kSolveRequest,
-                              encode_request(i, false))) {
+                              encode_solve_request(req))) {
       throw SocketError("worker " + std::to_string(i) +
                         " closed before the solve started");
     }
@@ -207,7 +209,6 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   for (std::size_t i = 0; i < N; ++i) last_seen[i].store(now_ns());
   std::vector<SolveDoneMsg> results(N);
   std::atomic<std::uint64_t> relayed{0};
-  std::atomic<std::uint64_t> misses{0};
   std::mutex bc_mu;
   // Each reader bumps `settled` when its worker is done or dead; the
   // monitor below sleeps on settled_cv between heartbeat deadlines.
@@ -243,7 +244,6 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   auto reader = [&](std::size_t i) {
     MsgType type{};
     std::vector<std::uint8_t> payload;
-    bool missed = false;
     for (;;) {
       // The whole receive + decode + dispatch step runs under the try: a
       // checksum-valid but semantically invalid frame (decode_* throwing
@@ -301,22 +301,6 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
           }
           case MsgType::kHeartbeat:
             break;  // recency already noted
-          case MsgType::kSetupMiss: {
-            // Only the key we sent may miss, and only once: the resent
-            // request carries the hierarchy itself.
-            const SetupMissMsg m = decode_setup_miss(payload);
-            if (m.shard != i || m.key != base.setup_key || missed) {
-              throw WireError("unexpected setup miss");
-            }
-            missed = true;
-            misses.fetch_add(1, std::memory_order_relaxed);
-            conns[i]->send_frame(MsgType::kSolveRequest,
-                                 encode_request(i, true));
-            // The worker beats again only once it has loaded the setup:
-            // give it the full timeout from here, not from its miss.
-            last_seen[i].store(now_ns(), std::memory_order_relaxed);
-            break;
-          }
           case MsgType::kSolveDone: {
             results[i] = decode_solve_done(payload);
             done[i].store(true);
@@ -402,7 +386,6 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
     res.bytes_received += conns[i]->bytes_received();
   }
   res.frames_relayed = relayed.load();
-  res.setup_misses = misses.load();
   res.seconds = timer.seconds();
 
   Vector r;
@@ -428,7 +411,8 @@ std::string ClusterCoordinator::stats_json() const {
     std::string json = "null";
     try {
       std::uint64_t retries = 0;
-      const std::unique_ptr<FrameConn> conn = connect_worker(i, retries);
+      const std::unique_ptr<FrameConn> conn =
+          connect_worker(i, retries).conn;
       conn->send_frame(MsgType::kStatsRequest, {});
       MsgType type{};
       std::vector<std::uint8_t> payload;
@@ -452,8 +436,7 @@ void ClusterCoordinator::shutdown_workers() const {
   for (std::size_t i = 0; i < opts_.endpoints.size(); ++i) {
     try {
       std::uint64_t retries = 0;
-      const std::unique_ptr<FrameConn> conn = connect_worker(i, retries);
-      conn->send_frame(MsgType::kShutdown, {});
+      connect_worker(i, retries).conn->send_frame(MsgType::kShutdown, {});
     } catch (const std::exception&) {
       // Already gone is as good as shut down.
     }

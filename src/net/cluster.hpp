@@ -7,11 +7,11 @@
 // Per solve it
 //
 //   1. connects to every endpoint with jittered exponential backoff
-//      (util/backoff) and handshakes the shard assignment,
-//   2. ships the setup key + b + x0 + solver options (kSolveRequest); a
-//      worker whose setup cache misses the key answers kSetupMiss and gets
-//      the request again with the serialized hierarchy -- either way every
-//      worker holds identical state,
+//      (util/backoff) and handshakes the shard assignment; each worker's
+//      hello lists the setup keys it caches,
+//   2. sends each worker one kSolveRequest: the setup key + b + x0 + solver
+//      options, plus the serialized hierarchy when that worker's hello did
+//      not list the key -- either way every worker holds identical state,
 //   3. relays kHaloFrame by destination, broadcasts kProgress, and tracks
 //      liveness (heartbeat recency and connection EOF); a worker declared
 //      dead gets kPeerDead broadcast to the survivors, whose gates and BSP
@@ -93,7 +93,7 @@ struct ClusterResult {
   std::uint64_t bytes_sent = 0;       // coordinator -> workers
   std::uint64_t bytes_received = 0;   // workers -> coordinator
   std::uint64_t connect_retries = 0;  // backoff-spaced redials
-  std::uint64_t setup_misses = 0;     // workers sent the hierarchy (kSetupMiss)
+  std::uint64_t setup_misses = 0;     // workers sent the hierarchy
   std::string to_json() const;
 };
 
@@ -119,11 +119,16 @@ class ClusterCoordinator {
   void shutdown_workers() const;
 
  private:
+  /// A handshaken worker: its connection (FrameConn owns a mutex, so it
+  /// travels behind a pointer) and the setup keys its hello listed.
+  struct WorkerLink {
+    std::unique_ptr<FrameConn> conn;
+    std::vector<std::uint64_t> setup_keys;
+  };
+
   /// Dial + handshake one worker, with backoff between attempts; counts
-  /// retries into `retries`. (FrameConn owns a mutex, so it travels behind
-  /// a pointer.)
-  std::unique_ptr<FrameConn> connect_worker(std::size_t i,
-                                            std::uint64_t& retries) const;
+  /// retries into `retries`.
+  WorkerLink connect_worker(std::size_t i, std::uint64_t& retries) const;
 
   ClusterOptions opts_;
 };

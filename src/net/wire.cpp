@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "service/fingerprint.hpp"
+
 namespace asyncmg {
 
 const char* msg_type_name(MsgType t) {
@@ -29,8 +31,6 @@ const char* msg_type_name(MsgType t) {
       return "stats-response";
     case MsgType::kShutdown:
       return "shutdown";
-    case MsgType::kSetupMiss:
-      return "setup-miss";
   }
   return "unknown";
 }
@@ -206,7 +206,7 @@ FrameHeader decode_frame_header(const std::uint8_t* data, std::size_t size) {
   }
   const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kSetupMiss)) {
+      type > static_cast<std::uint8_t>(MsgType::kShutdown)) {
     throw WireError("unknown message type " + std::to_string(type));
   }
   if (r.u16() != 0) throw WireError("nonzero reserved field");
@@ -246,6 +246,8 @@ std::vector<std::uint8_t> encode_hello(const HelloMsg& m) {
   w.u8(static_cast<std::uint8_t>(m.role));
   w.u32(m.protocol);
   w.str(m.name);
+  w.u32(static_cast<std::uint32_t>(m.setup_keys.size()));
+  for (std::uint64_t k : m.setup_keys) w.u64(k);
   return w.take();
 }
 
@@ -259,6 +261,11 @@ HelloMsg decode_hello(const std::vector<std::uint8_t>& p) {
   m.role = static_cast<WireRole>(role);
   m.protocol = r.u32();
   m.name = r.str();
+  const std::uint32_t keys = r.u32();
+  // Bound the attacker-controlled count by the bytes present.
+  if (keys > r.remaining() / 8) throw WireError("truncated setup keys");
+  m.setup_keys.resize(keys);
+  for (std::uint64_t& k : m.setup_keys) k = r.u64();
   r.expect_end();
   return m;
 }
@@ -467,56 +474,10 @@ StatsResponseMsg decode_stats_response(const std::vector<std::uint8_t>& p) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_setup_miss(const SetupMissMsg& m) {
-  WireWriter w;
-  w.u32(m.shard);
-  w.u64(m.key);
-  return w.take();
-}
-
-SetupMissMsg decode_setup_miss(const std::vector<std::uint8_t>& p) {
-  WireReader r(p);
-  SetupMissMsg m;
-  m.shard = r.u32();
-  m.key = r.u64();
-  r.expect_end();
-  return m;
-}
-
-namespace {
-
-// Chains a byte range into a setup key, 8-byte words at a time (the tail
-// zero-padded into one more word). Each step is FNV-1a's xor-multiply
-// followed by an xor-shift that folds the high half down: without it a
-// difference confined to bit 63 of a word -- one sign flip -- passes every
-// later multiply unchanged, and two sign flips cancel.
-std::uint64_t key_bytes(std::uint64_t h, const void* data, std::size_t len) {
-  constexpr std::uint64_t kMul = 0xff51afd7ed558ccdull;  // odd, dense bits
-  const auto* p = static_cast<const unsigned char*>(data);
-  auto step = [&h](std::uint64_t w) {
-    h = (h ^ w) * kMul;
-    h ^= h >> 32;
-  };
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    step(w);
-  }
-  if (i < len) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p + i, len - i);
-    step(w);
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t setup_key(const Hierarchy& h, const SolveRequestMsg& req) {
-  std::uint64_t key = 14695981039346656037ull;  // FNV offset basis
+  std::uint64_t key = kContentHashSeed;
   auto mix = [&key](const void* data, std::size_t len) {
-    key = key_bytes(key, data, len);
+    key = content_hash(data, len, key);
   };
   auto mix_matrix = [&mix](const CsrMatrix& m) {
     const std::uint64_t shape[4] = {static_cast<std::uint64_t>(m.rows()),

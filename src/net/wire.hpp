@@ -5,9 +5,10 @@
 //   [u32 magic "aMG1"] [u8 version] [u8 type] [u16 reserved = 0]
 //   [u32 payload_len]  [u32 payload checksum] [payload bytes]
 //
-// Version 2: a solve request names its setup by key (setup_key below) and
-// carries the hierarchy only after the worker answers kSetupMiss; the
-// checksum hashes the payload in 8-byte words (wire_checksum).
+// Version 3: a worker's hello lists the setup keys it caches (setup_key
+// below), and a solve request carries the hierarchy only when that list
+// lacks its key; the checksum hashes the payload in 8-byte words
+// (wire_checksum).
 //
 // All integers are little-endian ON THE WIRE regardless of host order --
 // encode/decode goes through explicit byte shifts, never memcpy of host
@@ -39,7 +40,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -57,7 +58,6 @@ enum class MsgType : std::uint8_t {
   kStatsRequest,    // router -> worker
   kStatsResponse,   // worker -> router: metrics JSON
   kShutdown,        // router -> worker: exit cleanly
-  kSetupMiss,       // worker -> router: resend the request with the hierarchy
 };
 
 const char* msg_type_name(MsgType t);
@@ -155,6 +155,8 @@ struct HelloMsg {
   WireRole role = WireRole::kWorker;
   std::uint32_t protocol = kWireVersion;
   std::string name;
+  /// setup_key of every setup the worker caches.
+  std::vector<std::uint64_t> setup_keys;
 };
 
 struct HelloAckMsg {
@@ -164,12 +166,11 @@ struct HelloAckMsg {
 };
 
 /// Everything a worker needs to run one shard of a solve. The setup is named
-/// by `setup_key`; a worker that has it cached solves from the key alone,
-/// and one that does not answers kSetupMiss, after which the coordinator
-/// resends the request with the hierarchy in the amg/serialize format
-/// (bit-exact round trip). Either way every participant holds the SAME
-/// MgSetup and ShardPlan -- no further coordination is needed for the BSP
-/// discipline to be bitwise reproducible across processes.
+/// by `setup_key`; a worker whose hello listed the key gets the key alone,
+/// any other also gets the hierarchy in the amg/serialize format (bit-exact
+/// round trip). Either way every participant holds the SAME MgSetup and
+/// ShardPlan -- no further coordination is needed for the BSP discipline to
+/// be bitwise reproducible across processes.
 struct SolveRequestMsg {
   std::uint32_t shard = 0;
   std::uint32_t num_shards = 1;
@@ -240,12 +241,6 @@ struct StatsResponseMsg {
   std::string json;
 };
 
-/// The worker's setup cache does not hold `key`.
-struct SetupMissMsg {
-  std::uint32_t shard = 0;
-  std::uint64_t key = 0;
-};
-
 /// The 64-bit name of the setup a solve request asks for: every level's A
 /// and P (shape, precision tag and CSR arrays at their stored width), every
 /// level's C/F splitting, and the request's smoother and coarse-solve
@@ -264,7 +259,6 @@ std::vector<std::uint8_t> encode_heartbeat(const HeartbeatMsg& m);
 std::vector<std::uint8_t> encode_peer_dead(const PeerDeadMsg& m);
 std::vector<std::uint8_t> encode_solve_done(const SolveDoneMsg& m);
 std::vector<std::uint8_t> encode_stats_response(const StatsResponseMsg& m);
-std::vector<std::uint8_t> encode_setup_miss(const SetupMissMsg& m);
 
 /// Decoders validate every field (enum ranges, payload fully consumed) and
 /// throw WireError on malformed input.
@@ -277,7 +271,6 @@ HeartbeatMsg decode_heartbeat(const std::vector<std::uint8_t>& p);
 PeerDeadMsg decode_peer_dead(const std::vector<std::uint8_t>& p);
 SolveDoneMsg decode_solve_done(const std::vector<std::uint8_t>& p);
 StatsResponseMsg decode_stats_response(const std::vector<std::uint8_t>& p);
-SetupMissMsg decode_setup_miss(const std::vector<std::uint8_t>& p);
 
 /// HaloFrameMsg <-> the shard executor's HaloPacket.
 HaloFrameMsg halo_to_wire(std::size_t from, std::size_t to, HaloTag tag,

@@ -49,6 +49,7 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
   HelloMsg hello;
   hello.role = WireRole::kWorker;
   hello.name = opts_.name;
+  for (const CacheEntry& e : cache_) hello.setup_keys.push_back(e.key);
   if (!conn.send_frame(MsgType::kHello, encode_hello(hello))) {
     return SessionEnd::kPeerGone;
   }
@@ -78,30 +79,8 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
       if (const auto end = next_frame()) return *end;
       switch (type) {
         case MsgType::kSolveRequest: {
-          SolveRequestMsg req = decode_solve_request(payload);
-          const MgSetup* setup = setup_for(req);
-          Frames early;
-          if (setup == nullptr) {
-            // Key-only request for a setup we do not hold: the coordinator
-            // resends it with the hierarchy. Peers that hold the setup are
-            // solving already, and their relayed frames can overtake the
-            // resent request; they belong to this solve, so keep them.
-            SetupMissMsg miss;
-            miss.shard = req.shard;
-            miss.key = req.setup_key;
-            conn.send_frame(MsgType::kSetupMiss, encode_setup_miss(miss));
-            for (;;) {
-              if (const auto end = next_frame()) return *end;
-              if (type == MsgType::kSolveRequest) break;
-              early.emplace_back(type, std::move(payload));
-            }
-            req = decode_solve_request(payload);
-            if (req.hierarchy.empty()) {
-              throw WireError("setup miss answered without the hierarchy");
-            }
-            setup = setup_for(req);
-          }
-          if (!handle_solve(conn, req, *setup, early)) {
+          const SolveRequestMsg req = decode_solve_request(payload);
+          if (!handle_solve(conn, req, setup_for(req))) {
             return SessionEnd::kCrashed;
           }
           break;
@@ -125,16 +104,18 @@ WorkerDaemon::SessionEnd WorkerDaemon::serve(FrameConn& conn) {
   }
 }
 
-const MgSetup* WorkerDaemon::setup_for(const SolveRequestMsg& req) {
+const MgSetup& WorkerDaemon::setup_for(const SolveRequestMsg& req) {
   if (req.hierarchy.empty()) {
     const auto it =
         std::find_if(cache_.begin(), cache_.end(), [&](const CacheEntry& e) {
           return e.key == req.setup_key;
         });
-    if (it == cache_.end()) return nullptr;
+    if (it == cache_.end()) {
+      throw WireError("key-only solve request for a setup not cached");
+    }
     ++cache_hits_;
     std::rotate(it, it + 1, cache_.end());  // most recently used to the back
-    return cache_.back().setup.get();
+    return *cache_.back().setup;
   }
   ++cache_misses_;
   Hierarchy h = load_hierarchy_string(req.hierarchy);
@@ -155,11 +136,11 @@ const MgSetup* WorkerDaemon::setup_for(const SolveRequestMsg& req) {
     cache_.erase(cache_.begin());  // least recently used
   }
   cache_.push_back(std::move(e));
-  return cache_.back().setup.get();
+  return *cache_.back().setup;
 }
 
 bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
-                                const MgSetup& setup, const Frames& early) {
+                                const MgSetup& setup) {
   AdditiveOptions ao;
   ao.kind = static_cast<AdditiveKind>(req.additive_kind);
   ao.afacx_s1 = req.afacx_s1;
@@ -221,29 +202,6 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
     board.apply_dead(p);
     transport.peer_dead(p);
   };
-  // Data plane (halo frames) and control plane (progress, peer deaths) of
-  // the solve. Throws WireError on a malformed frame.
-  auto dispatch = [&](MsgType type, const std::vector<std::uint8_t>& payload) {
-    switch (type) {
-      case MsgType::kHaloFrame:
-        transport.deliver(decode_halo_frame(payload));
-        break;
-      case MsgType::kProgress:
-        board.apply_progress(decode_progress(payload));
-        break;
-      case MsgType::kPeerDead:
-        peer_dead(decode_peer_dead(payload).shard);
-        break;
-      case MsgType::kShutdown:
-        stop_.store(true, std::memory_order_relaxed);
-        break;
-      default:
-        break;
-    }
-  };
-  // No thread runs yet, so a malformed early frame ends the session unsolved.
-  for (const auto& [type, payload] : early) dispatch(type, payload);
-
   // The solver's return ends both helpers at once: the heartbeat thread
   // waits on solver_done between beats, the reader polls it beside the
   // socket.
@@ -291,7 +249,22 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
       if (st != RecvStatus::kFrame) {
         lost = true;
       } else {
-        dispatch(type, payload);
+        switch (type) {
+          case MsgType::kHaloFrame:
+            transport.deliver(decode_halo_frame(payload));
+            break;
+          case MsgType::kProgress:
+            board.apply_progress(decode_progress(payload));
+            break;
+          case MsgType::kPeerDead:
+            peer_dead(decode_peer_dead(payload).shard);
+            break;
+          case MsgType::kShutdown:
+            stop_.store(true, std::memory_order_relaxed);
+            break;
+          default:
+            break;
+        }
       }
     } catch (const std::exception&) {
       lost = true;  // protocol violation: treat as lost link

@@ -25,13 +25,13 @@
 // serialized hierarchy (amg/serialize round trips bit-exactly) and
 // computes the initial residual itself, so every process starts from
 // identical state with no data exchange beyond the request. Setups are
-// cached by the request's setup_key (net/wire.hpp) in a small LRU: a
-// request names its setup by key alone, a cached key solves at once (the
-// remote analogue of the service's HierarchyCache affinity), and a miss is
-// answered with kSetupMiss, after which the coordinator resends the request
-// with the hierarchy. A request that carries a hierarchy is always loaded
-// and its key recomputed; a key that disagrees with the bytes is a protocol
-// violation that ends the session unsolved.
+// cached by the request's setup_key (net/wire.hpp) in a small LRU whose
+// keys the hello lists, so the coordinator sends the hierarchy only to a
+// worker that lacks it, and a cached key solves at once (the remote
+// analogue of the service's HierarchyCache affinity). A request that
+// carries a hierarchy is always loaded and its key recomputed. A key that
+// disagrees with the bytes, or a key-only request for a setup the worker
+// does not hold, is a protocol violation that ends the session unsolved.
 //
 // The kSolveRequest crash_after hook makes the worker drop the connection
 // without kSolveDone after that many corrections -- a deterministic SIGKILL
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "multigrid/setup.hpp"
@@ -97,19 +96,16 @@ class WorkerDaemon {
  private:
   enum class SessionEnd { kPeerGone, kShutdown, kCrashed };
 
-  /// Frames (type, payload) received but not yet dispatched.
-  using Frames = std::vector<std::pair<MsgType, std::vector<std::uint8_t>>>;
-
   SessionEnd serve(FrameConn& conn);
-  /// Runs one solve over `conn`, first dispatching `early` (frames of this
-  /// solve that overtook a resent request); false means the crash hook
-  /// fired and the connection must be dropped without kSolveDone.
+  /// Runs one solve over `conn`; false means the crash hook fired and the
+  /// connection must be dropped without kSolveDone.
   bool handle_solve(FrameConn& conn, const SolveRequestMsg& req,
-                    const MgSetup& setup, const Frames& early);
-  /// The setup the request names: the cached one for a key-only request
-  /// (nullptr on a miss), else the request's hierarchy, loaded and cached.
-  /// Throws WireError when that hierarchy's key is not the request's.
-  const MgSetup* setup_for(const SolveRequestMsg& req);
+                    const MgSetup& setup);
+  /// The setup the request names: the cached one for a key-only request,
+  /// else the request's hierarchy, loaded and cached. Throws WireError when
+  /// a key-only request's key is not cached or a hierarchy's key is not the
+  /// request's.
+  const MgSetup& setup_for(const SolveRequestMsg& req);
 
   WorkerDaemonOptions opts_;
   ListenSocket listener_;

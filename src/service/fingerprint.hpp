@@ -1,9 +1,9 @@
 #pragma once
-// Content fingerprint of a CSR matrix: shape + nnz + a 64-bit FNV-1a hash
-// over the row pointers, column indices, and values. The HierarchyCache
-// keys completed AMG setups by this fingerprint, so two byte-identical
-// matrices share one setup while any structural or numerical change (even a
-// single value bit) maps to a different entry.
+// Content fingerprint of a CSR matrix: shape + nnz + a 64-bit content hash
+// (content_hash below) over the row pointers, column indices, and values.
+// The HierarchyCache keys completed AMG setups by this fingerprint, so two
+// byte-identical matrices share one setup while any structural or numerical
+// change (even a single value bit) maps to a different entry.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,9 +28,18 @@ struct MatrixFingerprint {
 
 MatrixFingerprint matrix_fingerprint(const CsrMatrix& a);
 
-/// FNV-1a over an arbitrary byte range, seedable for chaining.
-std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
-                          std::uint64_t seed = 14695981039346656037ull);
+inline constexpr std::uint64_t kContentHashSeed = 14695981039346656037ull;
+
+/// The one 64-bit content hash of the library (matrix fingerprints, ring
+/// positions, net setup keys), seedable for chaining. Each 8-byte word
+/// (the tail zero-padded into one more) is xor-multiplied into the state,
+/// then the high half is xor-shifted down, so a difference confined to a
+/// word's top bit -- a sign flip -- cannot pass every later multiply
+/// unchanged and cancel against a second one. A murmur3 fmix64 finalizer
+/// avalanches the result, so inputs that differ in one low byte (ring
+/// labels) land far apart.
+std::uint64_t content_hash(const void* data, std::size_t len,
+                           std::uint64_t seed = kContentHashSeed);
 
 struct MatrixFingerprintHasher {
   std::size_t operator()(const MatrixFingerprint& f) const {

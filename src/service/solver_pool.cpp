@@ -74,54 +74,6 @@ void SolverPool::post(std::function<void()> task) {
   }
 }
 
-void SolverPool::run_gang(std::size_t n,
-                          const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (n > size()) {
-    throw std::invalid_argument(
-        "SolverPool::run_gang: gang larger than the pool");
-  }
-  const std::lock_guard<std::mutex> gang(gang_mu_);
-
-  struct GangState {
-    std::mutex mu;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr error;
-  };
-  auto st = std::make_shared<GangState>();
-  st->remaining = n;
-
-  {
-    // Enqueue all n bodies under one queue lock so they sit contiguously;
-    // workers then pick them up one each.
-    const std::lock_guard<std::mutex> g(mu_);
-    if (stopping_) {
-      throw std::runtime_error("SolverPool: run_gang after shutdown began");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      queue_.push_back([st, i, &body] {
-        try {
-          body(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lg(st->mu);
-          if (!st->error) st->error = std::current_exception();
-        }
-        {
-          const std::lock_guard<std::mutex> lg(st->mu);
-          --st->remaining;
-        }
-        st->done.notify_one();
-      });
-    }
-  }
-  cv_task_.notify_all();
-
-  std::unique_lock<std::mutex> lk(st->mu);
-  st->done.wait(lk, [&] { return st->remaining == 0; });
-  if (st->error) std::rethrow_exception(st->error);
-}
-
 void SolverPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;

@@ -5,23 +5,18 @@
 // std::threads per call; under repeated traffic the spawn/join cost and the
 // cold stacks dominate short solves. A SolverPool owns a fixed set of
 // workers fed from one condition-variable work queue and outlives any number
-// of solves. Three execution shapes are offered:
+// of solves. Two execution shapes are offered:
 //
 //   post          fire-and-forget single task (the SolveService request
 //                 executor).
-//   run_gang      n bodies that may synchronize with each other (barriers);
-//                 this is what the shared-memory multigrid runtime needs.
-//                 Gangs are serialized against each other internally --
-//                 two concurrent gangs could otherwise each hold part of
-//                 the worker set and deadlock at their barriers.
 //   parallel_for  independent index-space loop with a stable worker-slot id
 //                 per participating task, so callers can keep per-slot
 //                 workspaces (the BatchSolver's per-slot cycle state).
 //
-// Ownership rules (see DESIGN.md): pool tasks must never call run_gang,
-// parallel_for, or wait_idle on their own pool -- those block the caller
-// until other tasks finish, and a worker blocking on its own pool's
-// progress can starve the queue. Client threads may call them freely.
+// Ownership rule (see DESIGN.md): pool tasks must never call parallel_for
+// or wait_idle on their own pool -- those block the caller until other
+// tasks finish, and a worker blocking on its own pool's progress can starve
+// the queue. Client threads may call them freely.
 
 #include <condition_variable>
 #include <cstddef>
@@ -51,12 +46,6 @@ class SolverPool {
   /// Enqueue one task for any worker. Never blocks.
   void post(std::function<void()> task);
 
-  /// Runs body(0), ..., body(n-1) on the workers and returns when all have
-  /// finished. Bodies may synchronize with each other (std::barrier et al.):
-  /// only one gang executes at a time and n must not exceed size(), so all
-  /// n bodies are guaranteed to make progress concurrently.
-  void run_gang(std::size_t n, const std::function<void(std::size_t)>& body);
-
   /// Chunks [0, n) across up to min(n, size()) worker tasks and returns when
   /// every index has been processed. fn(slot, index): `slot` is a dense id in
   /// [0, num_slots) stable for the lifetime of the call, usable to index
@@ -69,8 +58,8 @@ class SolverPool {
   /// task is running.
   void wait_idle();
 
-  /// Total tasks executed since construction (gang bodies and parallel_for
-  /// slot tasks each count as one task).
+  /// Total tasks executed since construction (parallel_for slot tasks each
+  /// count as one task).
   std::uint64_t tasks_executed() const;
 
   /// Attach a telemetry sink: post() records the queue depth (control-plane
@@ -90,7 +79,6 @@ class SolverPool {
   std::size_t active_ = 0;            // tasks currently executing
   std::uint64_t executed_ = 0;
   bool stopping_ = false;
-  std::mutex gang_mu_;                // serializes run_gang calls
   std::vector<std::thread> workers_;
 };
 

@@ -23,7 +23,7 @@ std::vector<RingNode> build_hash_ring(std::size_t num_backends,
       const std::string label = "backend-" + std::to_string(b) + ":" +
                                 std::to_string(v) + ":" +
                                 std::to_string(seed);
-      ring.push_back({fnv1a_bytes(label.data(), label.size()), b});
+      ring.push_back({content_hash(label.data(), label.size()), b});
     }
   }
   std::sort(ring.begin(), ring.end(), [](const RingNode& l, const RingNode& r) {
@@ -69,7 +69,7 @@ std::uint64_t ring_key(const MatrixFingerprint& fp) {
     std::uint64_t h;
     std::int64_t rows, cols, nnz;
   } probe{fp.hash, fp.rows, fp.cols, fp.nnz};
-  return fnv1a_bytes(&probe, sizeof(probe));
+  return content_hash(&probe, sizeof(probe));
 }
 
 void ShardRouterOptions::validate() const {

@@ -2,7 +2,7 @@
 // Consistent-hash front-end router over N SolveService backends.
 //
 // Requests are routed by matrix fingerprint on a consistent-hash ring:
-// every backend owns `vnodes_per_backend` virtual nodes (FNV-1a of
+// every backend owns `vnodes_per_backend` virtual nodes (content_hash of
 // "backend:vnode"), a key maps to the first vnode clockwise from its hash,
 // and adding or removing one backend remaps only ~1/(N+1) of the key space
 // -- so the per-backend HierarchyCaches keep their warm setups across

@@ -8,10 +8,10 @@
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "async/runtime.hpp"
 #include "mesh/problems.hpp"
 #include "multigrid/mult.hpp"
 #include "multigrid/pcg.hpp"
@@ -85,6 +85,20 @@ CsrMatrix upwind_7pt(Index n, double c) {
   return CsrMatrix::from_triplets(n * n * n, n * n * n, std::move(t));
 }
 
+// `a` with its symmetric pair (0,1)/(1,0) sign-flipped: still symmetric and
+// diagonally dominant, and its value array differs from a's in the top bit
+// of two words only.
+CsrMatrix flip_pair01(const CsrMatrix& a) {
+  CsrMatrix f = a;
+  const std::span<double> v = f.values_mutable();
+  for (Index row = 0; row < 2; ++row) {
+    for (Index k = a.row_ptr()[row]; k < a.row_ptr()[row + 1]; ++k) {
+      if (a.col_idx()[k] == 1 - row) v[k] = -v[k];
+    }
+  }
+  return f;
+}
+
 // ---------------------------------------------------------------------------
 // SolverPool
 // ---------------------------------------------------------------------------
@@ -126,38 +140,6 @@ TEST(SolverPool, ParallelForSlotsAreDense) {
   EXPECT_LT(max_slot.load(), pool.size());
 }
 
-TEST(SolverPool, GangBodiesMaySynchronize) {
-  SolverPool pool(4);
-  // Every body must be running concurrently for the barrier to pass; a pool
-  // that ran gang members sequentially would deadlock here.
-  std::barrier<> bar(4);
-  std::atomic<int> after{0};
-  pool.run_gang(4, [&](std::size_t) {
-    bar.arrive_and_wait();
-    after.fetch_add(1, std::memory_order_relaxed);
-    bar.arrive_and_wait();
-  });
-  EXPECT_EQ(after.load(), 4);
-}
-
-TEST(SolverPool, GangLargerThanPoolThrows) {
-  SolverPool pool(2);
-  EXPECT_THROW(pool.run_gang(3, [](std::size_t) {}), std::invalid_argument);
-}
-
-TEST(SolverPool, GangPropagatesExceptions) {
-  SolverPool pool(2);
-  EXPECT_THROW(pool.run_gang(2,
-                             [](std::size_t i) {
-                               if (i == 1) throw std::runtime_error("boom");
-                             }),
-               std::runtime_error);
-  pool.wait_idle();  // pool stays usable
-  std::atomic<int> ran{0};
-  pool.run_gang(2, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
-}
-
 // ---------------------------------------------------------------------------
 // Fingerprint
 // ---------------------------------------------------------------------------
@@ -175,6 +157,10 @@ TEST(Fingerprint, ValueAndShapeChangesAreDetected) {
   CsrMatrix perturbed = p.a;
   perturbed.values_mutable()[0] += 1e-13;  // one bit of one value
   EXPECT_NE(matrix_fingerprint(perturbed), base);
+
+  // Two sign flips are two bit-63 differences, which plain word-wise FNV
+  // carries through every later multiply and then cancels.
+  EXPECT_NE(matrix_fingerprint(flip_pair01(p.a)), base);
 
   Problem other = make_laplace_7pt(7);
   EXPECT_NE(matrix_fingerprint(other.a), base);
@@ -404,91 +390,6 @@ TEST(BatchSolver, RejectsMismatchedRhs) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-backed runtimes
-// ---------------------------------------------------------------------------
-
-TEST(PoolRuntime, SyncModeOnPoolMatchesSequentialAdditive) {
-  Problem p = make_laplace_7pt(10);
-  MgOptions mo = test_mg_options();
-  MgSetup setup(std::move(p.a), mo);
-  AdditiveCorrector corr(setup, AdditiveOptions{});
-  const Vector b = rhs_for(static_cast<std::size_t>(setup.a(0).rows()), 13);
-
-  Vector x_seq(b.size(), 0.0);
-  AdditiveMg mg(setup, corr.options());
-  const double seq = mg.solve(b, x_seq, 15).final_rel_res();
-
-  SolverPool pool(8);
-  RuntimeOptions ro;
-  ro.mode = ExecMode::kSynchronous;
-  ro.t_max = 15;
-  ro.num_threads = 8;
-  ro.pool = &pool;
-  Vector x_par(b.size(), 0.0);
-  const RuntimeResult rr = run_shared_memory(corr, b, x_par, ro);
-  EXPECT_NEAR(rr.final_rel_res / seq, 1.0, 1e-6);
-}
-
-TEST(PoolRuntime, AsyncSolveOnPoolConvergesLikeSpawnPath) {
-  Problem p = make_laplace_7pt(10);
-  MgOptions mo = test_mg_options();
-  MgSetup setup(std::move(p.a), mo);
-  AdditiveCorrector corr(setup, AdditiveOptions{});
-  const Vector b = rhs_for(static_cast<std::size_t>(setup.a(0).rows()), 17);
-
-  RuntimeOptions ro;
-  ro.t_max = 30;
-  ro.num_threads = 8;
-  Vector x_spawn(b.size(), 0.0);
-  const RuntimeResult spawn = run_shared_memory(corr, b, x_spawn, ro);
-
-  SolverPool pool(8);
-  ro.pool = &pool;
-  Vector x_pool(b.size(), 0.0);
-  const RuntimeResult pooled = run_shared_memory(corr, b, x_pool, ro);
-
-  // Asynchronous schedules are stochastic; both paths must converge to the
-  // same quality band (the spawn path's own test threshold).
-  EXPECT_LT(spawn.final_rel_res, 0.05);
-  EXPECT_LT(pooled.final_rel_res, 0.05);
-  for (int c : pooled.corrections) EXPECT_GE(c, ro.t_max);
-
-  // The pool is reusable: a second solve on the same workers.
-  Vector x_again(b.size(), 0.0);
-  const RuntimeResult again = run_shared_memory(corr, b, x_again, ro);
-  EXPECT_LT(again.final_rel_res, 0.05);
-}
-
-TEST(PoolRuntime, MultThreadedOnPoolMatchesSequential) {
-  Problem p = make_laplace_7pt(10);
-  MgOptions mo = test_mg_options();
-  MgSetup setup(std::move(p.a), mo);
-  const Vector b = rhs_for(static_cast<std::size_t>(setup.a(0).rows()), 19);
-
-  Vector x_seq(b.size(), 0.0);
-  MultiplicativeMg mg(setup);
-  const double seq = mg.solve(b, x_seq, 12).final_rel_res();
-
-  SolverPool pool(6);
-  Vector x_par(b.size(), 0.0);
-  const RuntimeResult rr = run_mult_threaded(setup, b, x_par, 12, 6, &pool);
-  EXPECT_NEAR(rr.final_rel_res / seq, 1.0, 1e-9);
-}
-
-TEST(PoolRuntime, PoolSmallerThanGangThrows) {
-  Problem p = make_laplace_7pt(6);
-  MgSetup setup(std::move(p.a), test_mg_options());
-  AdditiveCorrector corr(setup, AdditiveOptions{});
-  const Vector b = rhs_for(static_cast<std::size_t>(setup.a(0).rows()), 3);
-  SolverPool pool(2);
-  RuntimeOptions ro;
-  ro.num_threads = 4;
-  ro.pool = &pool;
-  Vector x(b.size(), 0.0);
-  EXPECT_THROW(run_shared_memory(corr, b, x, ro), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // SolveService
 // ---------------------------------------------------------------------------
 
@@ -523,6 +424,24 @@ TEST(SolveService, SubmitSolvesAndHitsCacheOnRepeat) {
   EXPECT_EQ(st.cache.setups_built, 1u);
   EXPECT_GE(st.latency_p95, st.latency_p50);
   EXPECT_GT(st.latency_mean, 0.0);
+}
+
+TEST(SolveService, SignFlippedOperatorMissesTheCache) {
+  // A' differs from A by two sign flips. A fingerprint that cannot tell
+  // them apart serves A's setup for A', whose answer then reports
+  // convergence at a true relative residual above 1e-2.
+  SolveService svc(small_service_options());
+  Problem p = make_laplace_7pt(10);
+  const CsrMatrix flipped = flip_pair01(p.a);
+  const Vector b = rhs_for(static_cast<std::size_t>(p.a.rows()), 3);
+
+  EXPECT_FALSE(svc.submit(p.a, b).get().cache_hit);
+  const SolveResponse r = svc.submit(flipped, b).get();
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(svc.stats().cache.setups_built, 2u);
+  Vector res;
+  flipped.residual(b, r.x, res);
+  EXPECT_LT(norm2(res) / norm2(b), 1e-8);
 }
 
 TEST(SolveService, ConcurrentClientsMatchIndependentSolves) {
