@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_host.hpp"
 #include "shard/solver.hpp"
 #include "util/timer.hpp"
 
@@ -134,12 +135,13 @@ int main(int argc, char** argv) {
     }
   }
   table.emit(cli.get("csv", ""));
-  std::cout << "\nReading: the free-running executor tolerates stale halos; "
+  std::cout << "\nReading: the free-running executor tolerates stale blocks; "
                "residual degrades gracefully as latency (staleness) grows "
                "while per-shard throughput holds\n";
 
   std::ofstream out(json_path);
-  out << "{\"bench\":\"shard_scaling\",\"problem\":\"27pt\",\"n\":" << n
+  out << "{\"bench\":\"shard_scaling\",\"host\":" << bench::host_json()
+      << ",\"problem\":\"27pt\",\"n\":" << n
       << ",\"cycles\":" << t_max << ",\"max_lag\":" << max_lag
       << ",\"smoke\":" << (smoke ? 1 : 0)
       << ",\"sync_bitwise_oracle\":\"pass\",\"runs\":[";

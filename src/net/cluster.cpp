@@ -265,15 +265,11 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
           case MsgType::kHaloFrame: {
             const HaloFrameMsg m = decode_halo_frame(payload);
             // Relay only frames consistent with the plan: the worker must
-            // speak as itself and the payload length must match the edge
-            // (send list for kBoundaryX, owned block for kResidualBlock).
-            // The workers re-validate at delivery; dropping here keeps a
+            // speak as itself and the payload must be its owned block. The
+            // workers re-validate at delivery; dropping here keeps a
             // confused worker's frames off the wire entirely.
-            const std::size_t expect =
-                static_cast<HaloTag>(m.tag) == HaloTag::kBoundaryX
-                    ? (m.to < N ? plan.send[i][m.to].size() : 0)
-                    : plan.owned[i].size();
-            if (m.from == i && m.to < N && m.data.size() == expect &&
+            if (m.from == i && m.to < N &&
+                m.data.size() == plan.owned[i].size() &&
                 !dead[m.to].load() && !done[m.to].load()) {
               conns[m.to]->send_frame(MsgType::kHaloFrame, payload);
               relayed.fetch_add(1, std::memory_order_relaxed);

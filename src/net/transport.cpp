@@ -25,11 +25,6 @@ void SocketTransportOptions::validate() const {
         "SocketTransportOptions: expect_boundary must be empty or one entry "
         "per shard");
   }
-  if (!expect_residual.empty() && expect_residual.size() != num_shards) {
-    throw std::invalid_argument(
-        "SocketTransportOptions: expect_residual must be empty or one entry "
-        "per shard");
-  }
 }
 
 SocketTransport::SocketTransport(SocketTransportOptions opts)
@@ -98,11 +93,8 @@ void SocketTransport::deliver(const HaloFrameMsg& m) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::vector<std::size_t>& expect =
-      static_cast<HaloTag>(m.tag) == HaloTag::kBoundaryX
-          ? opts_.expect_boundary
-          : opts_.expect_residual;
-  if (!expect.empty() && m.data.size() != expect[m.from]) {
+  if (!opts_.expect_boundary.empty() &&
+      m.data.size() != opts_.expect_boundary[m.from]) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

@@ -51,22 +51,19 @@ struct SocketTransportOptions {
   std::size_t num_shards = 1;
   /// Frames kept per (peer, tag) mailbox; overflow evicts the oldest.
   std::size_t mailbox_capacity = 64;
-  /// Scalar width of outgoing halo payloads (fp32 halves the wire bytes;
-  /// ghosts and foreign residual rows then carry fp32-rounded values, the
+  /// Scalar width of outgoing x blocks (fp32 halves the wire bytes; the
+  /// receiver's view of foreign rows then holds fp32-rounded values, the
   /// PR 7 mixed-precision trade).
   WireWidth width = WireWidth::kF64;
   /// Connection to the coordinator. Not owned; must outlive the transport.
   FrameConn* conn = nullptr;
   /// Expected kBoundaryX payload length per sending peer (indexed by peer):
-  /// the plan's ghost_slots[shard][peer].size(). Empty disables the check
-  /// (bare unit-test rigs); when set (size num_shards), a frame whose
-  /// payload length disagrees with the plan is counted as dropped and never
+  /// the plan's owned[peer].size(). Empty disables the check (bare
+  /// unit-test rigs); when set (size num_shards), a frame whose payload
+  /// length disagrees with the plan is counted as dropped and never
   /// reaches a mailbox -- a confused or malicious coordinator/peer cannot
   /// make the solver read or write out of bounds.
   std::vector<std::size_t> expect_boundary;
-  /// Expected kResidualBlock payload length per sending peer: the plan's
-  /// owned[peer].size(). Same empty/checked semantics as expect_boundary.
-  std::vector<std::size_t> expect_residual;
 
   /// Throws std::invalid_argument with a field-naming message on the first
   /// invalid setting.
@@ -96,7 +93,7 @@ class SocketTransport final : public Transport {
 
   /// Inbound frame from the reader thread. Frames not addressed to this
   /// shard, carrying an out-of-range peer, or whose payload length does not
-  /// match the plan expectation for the (peer, tag) edge are counted as
+  /// match the plan expectation for the sending peer are counted as
   /// dropped (a confused or malicious coordinator cannot corrupt a mailbox
   /// or smuggle a wrong-sized payload to the solver).
   void deliver(const HaloFrameMsg& m);

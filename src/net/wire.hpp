@@ -5,7 +5,10 @@
 //   [u32 magic "aMG1"] [u8 version] [u8 type] [u16 reserved = 0]
 //   [u32 payload_len]  [u32 payload checksum] [payload bytes]
 //
-// Version 3: a worker's hello lists the setup keys it caches (setup_key
+// Version 4: a halo frame carries the sender's whole owned block of x
+// (HaloTag::kBoundaryX, the only payload kind), so a version-3 peer's
+// boundary-only frames would fail every length check; the header refuses
+// them instead. A worker's hello lists the setup keys it caches (setup_key
 // below), and a solve request carries the hierarchy only when that list
 // lacks its key; the checksum hashes the payload in 8-byte words
 // (wire_checksum).
@@ -40,7 +43,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -50,7 +53,7 @@ enum class MsgType : std::uint8_t {
   kHello = 1,       // worker -> router: who am I
   kHelloAck,        // router -> worker: your shard assignment
   kSolveRequest,    // router -> worker: problem + role for one solve
-  kHaloFrame,       // worker <-> worker (relayed): halo / residual block
+  kHaloFrame,       // worker <-> worker (relayed): owned block of x
   kProgress,        // worker -> all: committed correction count
   kHeartbeat,       // worker -> router: liveness + progress
   kPeerDead,        // router -> workers: peer will never commit again

@@ -154,13 +154,9 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   const std::size_t s = req.shard;
   const Range rg = plan.owned[s];
 
-  // Deterministic local state: every participant computes the same initial
-  // residual from the same (hierarchy, b, x0), so solving can start with no
+  // Every participant starts from the same x0, so solving can start with no
   // further exchange.
-  Vector x_local;
-  shard_local_view(plan, s, req.x0, x_local);
-  Vector r_view;
-  shard_initial_residual(plan, req.b, req.x0, r_view);
+  Vector x_view = req.x0;
 
   SocketTransportOptions sto;
   sto.shard = s;
@@ -169,13 +165,10 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   sto.conn = &conn;
   // Plan-derived payload lengths: deliver() drops any wire frame whose
   // length disagrees, so peers (or the relay) can never feed the solver a
-  // wrong-sized ghost or residual block.
+  // wrong-sized block.
   sto.expect_boundary.resize(req.num_shards, 0);
-  sto.expect_residual.resize(req.num_shards, 0);
   for (std::size_t p = 0; p < req.num_shards; ++p) {
-    if (p == s) continue;
-    sto.expect_boundary[p] = plan.ghost_slots[s][p].size();
-    sto.expect_residual[p] = plan.owned[p].size();
+    if (p != s) sto.expect_boundary[p] = plan.owned[p].size();
   }
   SocketTransport transport(sto);
   NetPeerBoard board(req.num_shards, s, &conn);
@@ -208,8 +201,8 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   WakeFd solver_done;
   ShardWorkerResult result;
   std::thread solver([&] {
-    result = run_shard_worker(plan, corrector, req.b, x_local, r_view,
-                              transport, board, wo);
+    result = run_shard_worker(plan, corrector, req.b, x_view, transport,
+                              board, wo);
     solver_done.signal();
   });
   std::thread heartbeat([&] {
@@ -299,8 +292,8 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   dm.frames_dropped = transport.packets_dropped();
   dm.bytes_sent = conn.bytes_sent();
   dm.bytes_received = conn.bytes_received();
-  dm.x_block.assign(x_local.begin(),
-                    x_local.begin() + static_cast<std::ptrdiff_t>(rg.size()));
+  dm.x_block.assign(x_view.begin() + static_cast<std::ptrdiff_t>(rg.begin),
+                    x_view.begin() + static_cast<std::ptrdiff_t>(rg.end));
   conn.send_frame(MsgType::kSolveDone, encode_solve_done(dm));
 
   if (opts_.telemetry != nullptr) {

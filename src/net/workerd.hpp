@@ -22,9 +22,9 @@
 //                          ends with the solve.
 //
 // Determinism: the worker rebuilds the full MgSetup and ShardPlan from the
-// serialized hierarchy (amg/serialize round trips bit-exactly) and
-// computes the initial residual itself, so every process starts from
-// identical state with no data exchange beyond the request. Setups are
+// serialized hierarchy (amg/serialize round trips bit-exactly) and starts
+// from the request's x0, so every process starts from identical state with
+// no data exchange beyond the request. Setups are
 // cached by the request's setup_key (net/wire.hpp) in a small LRU whose
 // keys the hello lists, so the coordinator sends the hierarchy only to a
 // worker that lacks it, and a cached key solves at once (the remote

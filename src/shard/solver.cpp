@@ -103,29 +103,6 @@ class History {
   std::vector<Vector> snapshots_;
 };
 
-/// Per-shard working set (scripted: reused across the shard's events;
-/// async: owned by the shard's thread, never shared).
-struct ShardState {
-  Vector x_local;   // [owned rows; ghosts]
-  Vector r_view;    // full-length residual view (async)
-  Vector r_read;    // assembled per-event residual view (scripted)
-  Vector staging;   // full length; only the owned range is written
-  Vector ctmp;
-  CorrectionScratch ws;
-  int corrections = 0;
-  int reads_dropped = 0;
-  bool killed = false;
-};
-
-void fill_ghosts(const ShardPlan& plan, std::size_t s, const Vector& from,
-                 Vector& x_local) {
-  const std::size_t owned_size = plan.owned[s].size();
-  const auto& h = plan.halo[s];
-  for (std::size_t pos = 0; pos < h.size(); ++pos) {
-    x_local[owned_size + pos] = from[static_cast<std::size_t>(h[pos])];
-  }
-}
-
 }  // namespace
 
 ShardedSolver::ShardedSolver(const MgSetup& setup, AdditiveOptions ao,
@@ -133,11 +110,6 @@ ShardedSolver::ShardedSolver(const MgSetup& setup, AdditiveOptions ao,
     : setup_(&setup), corrector_(setup, ao), opts_(so) {
   opts_.validate();
   plan_ = make_shard_plan(setup.a(0), opts_.num_shards);
-}
-
-void ShardedSolver::initial_residual(const Vector& b, const Vector& x,
-                                     Vector& r) const {
-  shard_initial_residual(plan_, b, x, r);
 }
 
 double ShardedSolver::rel_res(const Vector& b, const Vector& x) const {
@@ -181,22 +153,16 @@ ShardResult ShardedSolver::run_scripted(const Schedule& sched, const Vector& b,
                                 check.error);
   }
   const std::size_t n = b.size();
+  const CsrMatrix& a = setup_->a(0);
   Timer timer;
 
   ShardResult result;
   result.corrections.assign(plan_.num_shards, 0);
 
-  Vector published_r;
-  initial_residual(b, x, published_r);
-  const int depth = check.max_staleness + 1;
-  History hx(depth, x);
-  History hr(depth, published_r);
-
-  std::vector<ShardState> st(plan_.num_shards);
-  for (std::size_t s = 0; s < plan_.num_shards; ++s) {
-    st[s].x_local.resize(plan_.local_size(s));
-    st[s].staging.assign(n, 0.0);
-  }
+  History hx(check.max_staleness + 1, x);
+  Vector x_read, r, ctmp;
+  Vector staging(n, 0.0);
+  CorrectionScratch ws;
 
   TelemetrySink* const tel =
       (opts_.telemetry != nullptr && opts_.telemetry->enabled())
@@ -207,11 +173,13 @@ ShardResult ShardedSolver::run_scripted(const Schedule& sched, const Vector& b,
   int t = 0;
   for (const std::vector<ScheduleEvent>& inst : sched.instants) {
     if (tel != nullptr) tel->record_at(0, t, EventKind::kInstant, t, 1);
-    // Phase 1 -- residual publish: every scheduled shard computes its own
-    // residual rows from its current owned block and the ghost snapshot of
-    // its read instant, and publishes them. hr snapshot t is the published
-    // state *after* this phase, so a fresh read (z = t) sees every row of
-    // this instant's exchange -- the BSP semantics that make the S-shard
+    // Each scheduled shard's view of x is the snapshot of its read instant
+    // with its own rows current (they live on the shard). From it the shard
+    // computes the whole fine residual (local-res), forms the full additive
+    // correction, and commits its owned rows. Ownership is disjoint and
+    // foreign rows come from snapshots, so committing in event order is the
+    // joint per-instant apply of the semi-async model; with fresh reads
+    // (z = t) every view is x itself, which is what makes the S-shard
     // synchronous run bitwise-equal to the single-shard oracle.
     for (const ScheduleEvent& ev : inst) {
       const std::size_t s = ev.grid;
@@ -224,35 +192,15 @@ ShardResult ShardedSolver::run_scripted(const Schedule& sched, const Vector& b,
         continue;
       }
       const Range rg = plan_.owned[s];
-      ShardState& sh = st[s];
+      x_read = hx.at(ev.read_instant);
       std::copy(x.begin() + static_cast<std::ptrdiff_t>(rg.begin),
                 x.begin() + static_cast<std::ptrdiff_t>(rg.end),
-                sh.x_local.begin());
-      fill_ghosts(plan_, s, hx.at(ev.read_instant), sh.x_local);
-      plan_.local_a[s].residual_into(b, sh.x_local, published_r);
-    }
-    hr.push(t, published_r);
-    // Phase 2 -- correct and commit: each shard assembles its residual view
-    // (foreign rows from its read-instant snapshot, own rows always the
-    // fresh ones it just published), forms the full additive correction,
-    // and commits its owned rows. Ownership is disjoint and reads come from
-    // snapshots, so committing in event order is the joint per-instant
-    // apply of the semi-async model.
-    for (const ScheduleEvent& ev : inst) {
-      const std::size_t s = ev.grid;
-      if (killed[s]) continue;
-      const Range rg = plan_.owned[s];
-      ShardState& sh = st[s];
-      sh.r_read = hr.at(ev.read_instant);
-      std::copy(published_r.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-                published_r.begin() + static_cast<std::ptrdiff_t>(rg.end),
-                sh.r_read.begin() + static_cast<std::ptrdiff_t>(rg.begin));
-      std::fill(sh.staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-                sh.staging.begin() + static_cast<std::ptrdiff_t>(rg.end),
-                0.0);
-      corrector_.accumulate_cycle(sh.r_read, sh.staging, rg.begin, rg.end,
-                                  sh.ws, sh.ctmp);
-      for (std::size_t i = rg.begin; i < rg.end; ++i) x[i] += sh.staging[i];
+                x_read.begin() + static_cast<std::ptrdiff_t>(rg.begin));
+      a.residual(b, x_read, r);
+      std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
+                staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
+      corrector_.accumulate_cycle(r, staging, rg.begin, rg.end, ws, ctmp);
+      for (std::size_t i = rg.begin; i < rg.end; ++i) x[i] += staging[i];
       ++result.corrections[s];
       if (tel != nullptr) {
         tel->record_at(0, t, EventKind::kShardStep,
@@ -288,19 +236,7 @@ ShardResult ShardedSolver::run_async(const Vector& b, Vector& x, bool bsp) {
   }
   ChannelTransport transport(to);
 
-  Vector r0;
-  initial_residual(b, x, r0);
-
-  std::vector<ShardState> st(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const Range rg = plan_.owned[s];
-    st[s].x_local.resize(plan_.local_size(s));
-    std::copy(x.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-              x.begin() + static_cast<std::ptrdiff_t>(rg.end),
-              st[s].x_local.begin());
-    fill_ghosts(plan_, s, x, st[s].x_local);
-    st[s].r_view = r0;
-  }
+  std::vector<Vector> views(S, x);
 
   // Shared progress board: commits feed the staleness gate, dead marks a
   // shard that will never commit again (killed or finished) so peers must
@@ -317,8 +253,8 @@ ShardResult ShardedSolver::run_async(const Vector& b, Vector& x, bool bsp) {
     wo.bsp = bsp;
     wo.faults = opts_.faults;
     wo.telemetry = opts_.telemetry;
-    wr[s] = run_shard_worker(plan_, corrector_, b, st[s].x_local,
-                             st[s].r_view, transport, board, wo);
+    wr[s] = run_shard_worker(plan_, corrector_, b, views[s], transport, board,
+                             wo);
   };
 
   std::vector<std::thread> threads;
@@ -330,8 +266,8 @@ ShardResult ShardedSolver::run_async(const Vector& b, Vector& x, bool bsp) {
   result.corrections.resize(S);
   for (std::size_t s = 0; s < S; ++s) {
     const Range rg = plan_.owned[s];
-    std::copy(st[s].x_local.begin(),
-              st[s].x_local.begin() + static_cast<std::ptrdiff_t>(rg.size()),
+    std::copy(views[s].begin() + static_cast<std::ptrdiff_t>(rg.begin),
+              views[s].begin() + static_cast<std::ptrdiff_t>(rg.end),
               x.begin() + static_cast<std::ptrdiff_t>(rg.begin));
     result.corrections[s] = wr[s].corrections;
     result.reads_dropped += wr[s].reads_dropped;

@@ -4,31 +4,32 @@
 // promoted from the discrete-event model in async/distributed.
 //
 // The fine grid is split into contiguous row blocks by the deterministic
-// partitioner (shard/partition.hpp). Each shard owns its block of x and of
-// the fine residual and computes its residual rows with the halo-aware
-// local stencil; coarse levels are replicated per shard (in process they
-// share the immutable MgSetup -- worker processes cache a copy each, see
-// src/net), so every shard can form the full additive
-// correction from its *view* of the global residual and commit only the
-// rows it owns. This is the paper's global-res discipline across shard
-// boundaries: a shard trusts its possibly-stale halo/residual view and
-// never waits for anyone.
+// partitioner (shard/partition.hpp). Each shard owns its block of x and
+// keeps a view of the rest: the newest block it has received from each
+// peer. Coarse levels are replicated per shard (in process they share the
+// immutable MgSetup -- worker processes cache a copy each, see src/net), so
+// every shard computes the whole fine residual from its view of x, forms
+// the full additive correction from it, and commits only the rows it owns.
+// This is the paper's local-res discipline (Section IV) across shard
+// boundaries: a shard computes the residual it needs itself, trusts its
+// possibly-stale view of its peers' blocks, and never waits for anyone.
+// Residuals never cross a shard boundary; only blocks of x do.
 //
 // Three execution disciplines, mirroring the async runtime's drivers:
 //
-//   kSynchronous   bulk-synchronous rounds with fresh exchanges -- replays
-//                  the canonical full schedule; bitwise-identical to the
+//   kSynchronous   bulk-synchronous rounds with fresh reads -- replays the
+//                  canonical full schedule; bitwise-identical to the
 //                  single-shard run at ANY shard count (the oracle), and to
 //                  replay_semiasync_schedule on the all-grids-fresh
 //                  schedule for one shard.
 //   kScripted      deterministic replay of a Schedule whose events are
-//                  (shard, read-instant) pairs: a scheduled shard reads the
-//                  ghost/residual snapshots of its read instant (its own
-//                  rows are always current -- they live on the shard),
-//                  corrections of an instant commit jointly. Bitwise
-//                  reproducible across runs.
+//                  (shard, read-instant) pairs: a scheduled shard reads its
+//                  peers' blocks from the x snapshot of its read instant
+//                  (its own rows are always current -- they live on the
+//                  shard), corrections of an instant commit jointly.
+//                  Bitwise reproducible across runs.
 //   kAsynchronous  one free-running thread per shard over the lock-free
-//                  channel transport: stale halos, dropped exchanges (full
+//                  channel transport: stale blocks, dropped exchanges (full
 //                  channels or FaultPlan drop-reads), Criterion-2 style
 //                  recovery -- a killed shard's block simply stops moving
 //                  and nobody deadlocks waiting for it.
@@ -49,7 +50,7 @@ enum class ShardMode {
   kAsynchronous,
   kScripted,
   /// Bulk-synchronous rounds executed over the Transport (one thread per
-  /// shard, real message exchange, deterministic two-exchange rounds --
+  /// shard, real message exchange, one x-block exchange per round --
   /// shard/worker.hpp). Bitwise identical to kSynchronous at any shard
   /// count, and to the same discipline run across processes over TCP
   /// (src/net): this is the loopback oracle for the multi-process service.
@@ -73,8 +74,8 @@ struct ShardOptions {
   /// ahead of the slowest live peer (draining channels while it waits).
   /// Together with the newest-wins channels this realizes the Section-III
   /// bounded read delay (delta) at shard granularity; without it a shard
-  /// that wins the thread-start race free-runs against the initial residual
-  /// and convergence stalls (the divergence scenarios the scripted harness
+  /// that wins the thread-start race free-runs against its peers' initial
+  /// blocks and convergence stalls (the divergence scenarios the scripted harness
   /// probes). Dead (killed / finished) peers are exempt, so Criterion-2
   /// recovery still holds, and the slowest live shard never waits, so the
   /// gate cannot deadlock.
@@ -89,7 +90,7 @@ struct ShardOptions {
   int script_max_delay = 0;
   std::uint64_t seed = 1;
   /// Fault injection (async mode; grid ids are shard ids): stalls sleep the
-  /// shard, drop-reads skip a refresh (the shard keeps its stale halo),
+  /// shard, drop-reads skip a refresh (the shard keeps its stale view),
   /// kills retire the shard permanently. Not owned; must outlive the call.
   const FaultPlan* faults = nullptr;
   /// Record ||b - A x||/||b|| after every instant (scripted/sync; one
@@ -143,9 +144,6 @@ class ShardedSolver {
   /// deterministic bulk-synchronous rounds (kSyncTransport) instead of the
   /// free-running discipline (kAsynchronous).
   ShardResult run_async(const Vector& b, Vector& x, bool bsp);
-  /// Initial residual b - A x assembled from the per-shard local stencils
-  /// (bitwise equal to the global residual when ghosts are fresh).
-  void initial_residual(const Vector& b, const Vector& x, Vector& r) const;
   double rel_res(const Vector& b, const Vector& x) const;
 
   const MgSetup* setup_;

@@ -1,9 +1,8 @@
 #pragma once
-// Pluggable point-to-point transport for the sharded executor's halo
-// exchange. The executor only ever talks to this interface, so an
-// out-of-process (socket) transport can slot in later without touching the
-// solver; the in-process implementation below is the one the tests and the
-// TSan CI job exercise today.
+// Pluggable point-to-point transport for the sharded executor's x-block
+// exchange. The executor only ever talks to this interface, so the
+// in-process channels below and the out-of-process SocketTransport
+// (src/net) run the same worker loop.
 //
 // ChannelTransport gives every directed (from, to, tag) edge its own
 // bounded single-producer/single-consumer ring: the producer is the
@@ -11,8 +10,9 @@
 // the only synchronization is one release store / acquire load pair per
 // packet -- lock-free and TSan-clean by construction. A full ring DROPS the
 // packet (counted, never blocking): the receiver simply keeps its stale
-// ghost view, which is exactly the lost-message semantics the paper's
-// Criterion-2 recovery and the FaultPlan drop-read harness model.
+// view of the sender's block, which is exactly the lost-message semantics
+// the paper's Criterion-2 recovery and the FaultPlan drop-read harness
+// model.
 //
 // An optional mean one-way latency delays *visibility*, not the sender:
 // packets carry a deadline and recv_latest ignores packets still in
@@ -38,9 +38,12 @@ struct HaloPacket {
   std::vector<double> data;
 };
 
-/// Payload kinds multiplexed over one shard pair.
-enum class HaloTag : int { kBoundaryX = 0, kResidualBlock = 1 };
-inline constexpr int kNumHaloTags = 2;
+/// Payload kinds multiplexed over one shard pair. kBoundaryX carries the x
+/// values the receiver reads from the sender; every shard computes the
+/// whole fine residual itself (local-res), so that is the sender's entire
+/// owned block.
+enum class HaloTag : int { kBoundaryX = 0 };
+inline constexpr int kNumHaloTags = 1;
 
 class Transport {
  public:

@@ -1,5 +1,6 @@
 #include "shard/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -17,12 +18,14 @@ namespace {
 /// publish; after that the caller keeps its stale view -- lost-message
 /// semantics, never a deadlock.
 bool await_frame(Transport& transport, const PeerBoard& board, std::size_t s,
-                 std::size_t p, HaloTag tag, HaloPacket& pkt) {
+                 std::size_t p, HaloPacket& pkt) {
   int spins = 0;
   for (;;) {
-    if (transport.recv_next(s, p, tag, pkt)) return true;
-    if (board.dead(p)) return transport.recv_next(s, p, tag, pkt);
-    transport.wait_next(s, p, tag, ++spins);
+    if (transport.recv_next(s, p, HaloTag::kBoundaryX, pkt)) return true;
+    if (board.dead(p)) {
+      return transport.recv_next(s, p, HaloTag::kBoundaryX, pkt);
+    }
+    transport.wait_next(s, p, HaloTag::kBoundaryX, ++spins);
   }
 }
 
@@ -30,13 +33,13 @@ bool await_frame(Transport& transport, const PeerBoard& board, std::size_t s,
 
 ShardWorkerResult run_shard_worker(const ShardPlan& plan,
                                    const AdditiveCorrector& corrector,
-                                   const Vector& b, Vector& x_local,
-                                   Vector& r_view, Transport& transport,
-                                   PeerBoard& board,
+                                   const Vector& b, Vector& x_view,
+                                   Transport& transport, PeerBoard& board,
                                    const ShardWorkerOptions& opts) {
   const std::size_t s = opts.shard;
   const std::size_t S = plan.num_shards;
   const Range rg = plan.owned[s];
+  const CsrMatrix& a = corrector.setup().a(0);
   const FaultPlan* const faults = opts.faults;
   TelemetrySink* const tel =
       (opts.telemetry != nullptr && opts.telemetry->enabled())
@@ -44,36 +47,33 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
           : nullptr;
 
   ShardWorkerResult result;
+  Vector r;
   Vector staging(b.size(), 0.0);
   Vector ctmp;
   CorrectionScratch ws;
   HaloPacket pkt;
 
-  // Newest-wins refresh of ghosts and foreign residual rows (free-running
-  // discipline; also the gate's drain while waiting). A packet whose length
-  // disagrees with the plan is discarded -- lost-message semantics, so no
-  // Transport implementation can make these loops read or write outside the
-  // plan's ranges (socket transports additionally validate at delivery).
+  // Writes the received block of peer p into the view. A packet whose
+  // length is not p's owned-block length is discarded -- lost-message
+  // semantics, so no Transport implementation can make the loop write
+  // outside the plan's ranges (socket transports additionally validate at
+  // delivery).
+  auto apply_block = [&](std::size_t p) {
+    const Range prg = plan.owned[p];
+    if (pkt.data.size() != prg.size()) return false;
+    std::copy(pkt.data.begin(), pkt.data.end(),
+              x_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
+    return true;
+  };
+  // Newest-wins refresh of every peer's block (free-running discipline;
+  // also the gate's drain while waiting).
   auto drain = [&]() {
     int got = 0;
     for (std::size_t p = 0; p < S; ++p) {
       if (p == s) continue;
-      if (transport.recv_latest(s, p, HaloTag::kBoundaryX, pkt)) {
-        const auto& slots = plan.ghost_slots[s][p];
-        if (pkt.data.size() == slots.size()) {
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            x_local[slots[i]] = pkt.data[i];
-          }
-          ++got;
-        }
-      }
-      if (transport.recv_latest(s, p, HaloTag::kResidualBlock, pkt)) {
-        const Range prg = plan.owned[p];
-        if (pkt.data.size() == prg.size()) {
-          std::copy(pkt.data.begin(), pkt.data.end(),
-                    r_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
-          ++got;
-        }
+      if (transport.recv_latest(s, p, HaloTag::kBoundaryX, pkt) &&
+          apply_block(p)) {
+        ++got;
       }
     }
     return got;
@@ -85,31 +85,13 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
     }
     return true;
   };
-  auto publish_residual = [&](int c) {
+  auto publish_block = [&](int c) {
     for (std::size_t p = 0; p < S; ++p) {
       if (p == s) continue;
       HaloPacket out;
-      out.seq = static_cast<std::uint64_t>(c);
-      out.data.assign(
-          r_view.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-          r_view.begin() + static_cast<std::ptrdiff_t>(rg.end));
-      if (!transport.send(s, p, HaloTag::kResidualBlock, std::move(out)) &&
-          tel != nullptr) {
-        tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
-                    static_cast<std::int64_t>(p));
-      }
-    }
-  };
-  auto publish_boundary = [&](int c) {
-    for (std::size_t p = 0; p < S; ++p) {
-      if (p == s || plan.send[s][p].empty()) continue;
-      HaloPacket out;
       out.seq = static_cast<std::uint64_t>(c + 1);
-      out.data.resize(plan.send[s][p].size());
-      for (std::size_t i = 0; i < out.data.size(); ++i) {
-        out.data[i] =
-            x_local[static_cast<std::size_t>(plan.send[s][p][i]) - rg.begin];
-      }
+      out.data.assign(x_view.begin() + static_cast<std::ptrdiff_t>(rg.begin),
+                      x_view.begin() + static_cast<std::ptrdiff_t>(rg.end));
       if (!transport.send(s, p, HaloTag::kBoundaryX, std::move(out)) &&
           tel != nullptr) {
         tel->record(s, EventKind::kShardDrop, static_cast<std::int64_t>(s),
@@ -139,104 +121,44 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
       }
     }
 
+    // Refresh the view; a dropped read keeps the stale one (lost message).
+    int got = 0;
     if (opts.bsp) {
-      // Round step 1: boundary frames of this round (ghosts = x after round
-      // c - 1). Round 0 starts from the shared initial iterate.
-      int got = 0;
+      // Every live peer's block of round c - 1; round 0 starts from the
+      // shared initial iterate.
       if (c > 0 && !drop_read) {
         for (std::size_t p = 0; p < S; ++p) {
-          if (p == s || plan.send[p][s].empty()) continue;
-          if (await_frame(transport, board, s, p, HaloTag::kBoundaryX, pkt)) {
-            const auto& slots = plan.ghost_slots[s][p];
-            if (pkt.data.size() == slots.size()) {
-              for (std::size_t i = 0; i < slots.size(); ++i) {
-                x_local[slots[i]] = pkt.data[i];
-              }
-              ++got;
-            }
-          }
-        }
-      }
-      const std::int64_t t0 = tel != nullptr ? tel->clock().now_ns() : 0;
-      // Step 2: own residual rows from the round's ghosts; publish before
-      // waiting so the round's residual exchange can never cycle-wait.
-      plan.local_a[s].residual_into(b, x_local, r_view);
-      publish_residual(c);
-      // Step 3: every live peer's residual block of THIS round -- the view
-      // is globally fresh, which is what makes the discipline replay the
-      // scripted full-schedule oracle bitwise.
-      if (!drop_read) {
-        for (std::size_t p = 0; p < S; ++p) {
           if (p == s) continue;
-          if (await_frame(transport, board, s, p, HaloTag::kResidualBlock,
-                          pkt)) {
-            const Range prg = plan.owned[p];
-            if (pkt.data.size() == prg.size()) {
-              std::copy(
-                  pkt.data.begin(), pkt.data.end(),
-                  r_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));
-              ++got;
-            }
+          if (await_frame(transport, board, s, p, pkt) && apply_block(p)) {
+            ++got;
           }
         }
       }
-      if (tel != nullptr && got > 0) {
-        tel->record(s, EventKind::kShardExchange,
-                    static_cast<std::int64_t>(s), got);
+    } else {
+      // Staleness gate (max_lag): run at most max_lag corrections ahead of
+      // the slowest live peer, draining channels while waiting. Bounded
+      // skew plus newest-wins channels is the executor's realization of
+      // the model's bounded read delay.
+      while (!within_lag(c)) {
+        drain();
+        std::this_thread::yield();
       }
-      // Step 4: correct, commit owned rows, publish the new boundary.
-      std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-                staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
-      corrector.accumulate_cycle(r_view, staging, rg.begin, rg.end, ws,
-                                 ctmp);
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        x_local[i - rg.begin] += staging[i];
-      }
-      publish_boundary(c);
-      ++result.corrections;
-      board.publish_commits(s, c + 1);
-      if (tel != nullptr) {
-        tel->record_at(s, t0, EventKind::kShardStep,
-                       static_cast<std::int64_t>(s),
-                       tel->clock().now_ns() - t0);
-      }
-      continue;
+      if (!drop_read) got = drain();
     }
-
-    // Free-running discipline (PR 6 loop, verbatim semantics).
-    //
-    // Staleness gate (max_lag): run at most max_lag corrections ahead of
-    // the slowest live peer, draining channels while waiting. Bounded skew
-    // plus newest-wins channels is the executor's realization of the
-    // model's bounded read delay.
-    while (!within_lag(c)) {
-      drain();
-      std::this_thread::yield();
-    }
-    // Refresh the halo and the foreign residual view from whatever has
-    // arrived; a dropped read keeps the stale view (lost message).
-    if (!drop_read) {
-      const int got = drain();
-      if (tel != nullptr && got > 0) {
-        tel->record(s, EventKind::kShardExchange,
-                    static_cast<std::int64_t>(s), got);
-      }
+    if (tel != nullptr && got > 0) {
+      tel->record(s, EventKind::kShardExchange, static_cast<std::int64_t>(s),
+                  got);
     }
 
     const std::int64_t t0 = tel != nullptr ? tel->clock().now_ns() : 0;
-    // Own residual rows from the (possibly stale) halo; publish the block
-    // (pre-correction) to every peer.
-    plan.local_a[s].residual_into(b, x_local, r_view);
-    publish_residual(c);
-    // Full additive correction from the shard's residual view; commit the
-    // owned rows only, then publish the committed boundary values.
+    // Local-res correction: the whole fine residual from this shard's view
+    // of x, the full additive correction from it, own rows committed.
+    a.residual(b, x_view, r);
     std::fill(staging.begin() + static_cast<std::ptrdiff_t>(rg.begin),
               staging.begin() + static_cast<std::ptrdiff_t>(rg.end), 0.0);
-    corrector.accumulate_cycle(r_view, staging, rg.begin, rg.end, ws, ctmp);
-    for (std::size_t i = rg.begin; i < rg.end; ++i) {
-      x_local[i - rg.begin] += staging[i];
-    }
-    publish_boundary(c);
+    corrector.accumulate_cycle(r, staging, rg.begin, rg.end, ws, ctmp);
+    for (std::size_t i = rg.begin; i < rg.end; ++i) x_view[i] += staging[i];
+    publish_block(c);
     ++result.corrections;
     board.publish_commits(s, c + 1);
     if (tel != nullptr) {
@@ -247,28 +169,6 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
   }
   board.publish_dead(s);
   return result;
-}
-
-void shard_local_view(const ShardPlan& plan, std::size_t s, const Vector& x,
-                      Vector& x_local) {
-  const Range rg = plan.owned[s];
-  x_local.resize(plan.local_size(s));
-  std::copy(x.begin() + static_cast<std::ptrdiff_t>(rg.begin),
-            x.begin() + static_cast<std::ptrdiff_t>(rg.end), x_local.begin());
-  const auto& h = plan.halo[s];
-  for (std::size_t pos = 0; pos < h.size(); ++pos) {
-    x_local[rg.size() + pos] = x[static_cast<std::size_t>(h[pos])];
-  }
-}
-
-void shard_initial_residual(const ShardPlan& plan, const Vector& b,
-                            const Vector& x, Vector& r) {
-  r.resize(b.size());
-  Vector x_local;
-  for (std::size_t s = 0; s < plan.num_shards; ++s) {
-    shard_local_view(plan, s, x, x_local);
-    plan.local_a[s].residual_into(b, x_local, r);
-  }
 }
 
 }  // namespace asyncmg

@@ -5,32 +5,35 @@
 // process per shard over the TCP SocketTransport, src/net). Everything the
 // loop touches is behind two seams:
 //
-//   Transport  (shard/transport.hpp)  halo/residual packet exchange
+//   Transport  (shard/transport.hpp)  x-block exchange
 //   PeerBoard  (below)                peer progress + liveness
 //
-// Two disciplines:
+// Every correction is local-res (the paper's Section IV): the shard holds a
+// full-length view of x -- its own rows current, each peer's rows the newest
+// block received from that peer -- computes the whole fine residual b - A x
+// from that view itself, forms the full additive correction, commits only
+// its own rows, and sends its owned block to every peer. No residual
+// crosses a shard boundary, so a stale peer block only lags that peer's
+// newest correction; the shard's own rows are never stale. The disciplines
+// differ only in which blocks the view holds when a correction starts:
 //
-//   free-running (bsp = false)  the PR 6 asynchronous loop verbatim: drain
-//       newest-wins packets, bounded-skew gate against the slowest LIVE
-//       peer, stale views on drops, Criterion-2 recovery when a peer dies.
+//   free-running (bsp = false)  drain newest-wins packets, bounded-skew gate
+//       against the slowest LIVE peer, stale views on drops, Criterion-2
+//       recovery when a peer dies.
 //
-//   bulk-synchronous (bsp = true)  a deterministic two-exchange round:
-//         1. await + apply every live peer's boundary frame of this round
-//            (ghosts now hold x after round c-1),
-//         2. compute own residual rows, publish the residual block (seq c),
-//         3. await + apply every live peer's residual block of THIS round
-//            (the residual view is globally fresh at round c),
-//         4. correct, commit owned rows, publish boundaries (seq c+1).
-//       Every read is uniquely determined by the round structure, never by
-//       message timing, so the iterates are bitwise identical on ANY
-//       transport -- and identical to ShardedSolver's kSynchronous scripted
-//       oracle (the full-schedule semantics replayed over messages). Frames
-//       are consumed in FIFO order (Transport::recv_next) one per round, so
-//       a fast peer can run at most one round ahead and a default-capacity
-//       ring never drops a BSP frame. A dead peer is exempted from both
-//       waits after one final drain (its published frames happen-before its
-//       death), so a killed worker degrades the view instead of deadlocking
-//       the round -- Criterion-2 across processes.
+//   bulk-synchronous (bsp = true)  round c first awaits + applies every live
+//       peer's block of round c - 1 (round 0 starts from the shared initial
+//       iterate), so the view is exactly x after round c - 1 and the
+//       residual is the global one. Every read is fixed by the round
+//       structure, never by message timing, so the iterates are bitwise
+//       identical on ANY transport -- and identical to ShardedSolver's
+//       kSynchronous scripted oracle. Frames are consumed in FIFO order
+//       (Transport::recv_next) one per round, so a fast peer can run at
+//       most one round ahead and a default-capacity ring never drops a BSP
+//       frame. A dead peer is exempted from the wait after one final drain
+//       (its published frames happen-before its death), so a killed worker
+//       degrades the view instead of deadlocking the round -- Criterion-2
+//       across processes.
 
 #include <atomic>
 #include <cstdint>
@@ -109,29 +112,15 @@ struct ShardWorkerResult {
   bool killed = false;
 };
 
-/// Runs one shard's correction loop to completion. `x_local` is the shard's
-/// [owned; ghosts] block prefilled from the initial iterate; `r_view` the
-/// full-length initial residual (identical in every participant: both are
-/// deterministic functions of the problem, so processes agree without any
-/// startup exchange). On return x_local holds the shard's final owned block
-/// (+ last ghost view).
+/// Runs one shard's correction loop to completion. `x_view` is the
+/// full-length initial iterate, identical in every participant (it is part
+/// of the problem, so processes agree without any startup exchange). On
+/// return its owned rows hold the shard's final block and every other row
+/// the newest block the shard received from that row's owner.
 ShardWorkerResult run_shard_worker(const ShardPlan& plan,
                                    const AdditiveCorrector& corrector,
-                                   const Vector& b, Vector& x_local,
-                                   Vector& r_view, Transport& transport,
-                                   PeerBoard& board,
+                                   const Vector& b, Vector& x_view,
+                                   Transport& transport, PeerBoard& board,
                                    const ShardWorkerOptions& opts);
-
-/// Fills shard s's [owned; ghosts] block from the full-length iterate `x`
-/// (resizing x_local to plan.local_size(s)).
-void shard_local_view(const ShardPlan& plan, std::size_t s, const Vector& x,
-                      Vector& x_local);
-
-/// Full-length residual b - A x assembled shard by shard from the local
-/// stencils -- bitwise equal in every process that holds the same plan, b,
-/// and x, which is why a multi-process solve needs no startup residual
-/// exchange.
-void shard_initial_residual(const ShardPlan& plan, const Vector& b,
-                            const Vector& x, Vector& r);
 
 }  // namespace asyncmg

@@ -417,12 +417,16 @@ TEST(WireFuzz, CorruptedFramesDetected) {
 
 TEST(WireFuzz, VersionOneFrameRejected) {
   // A version-1 peer hashes payloads byte by byte and expects the hierarchy
-  // in every request: its frames are refused at the header.
+  // in every request: its frames are refused at the header. So are a
+  // version-3 peer's, whose halo frames carry boundary slices instead of
+  // owned blocks.
   std::vector<std::uint8_t> frame =
       encode_frame(MsgType::kProgress, encode_progress({1, 2}));
   ASSERT_EQ(frame[4], kWireVersion);
   ASSERT_NO_THROW(decode_frame_header(frame.data(), frame.size()));
   frame[4] = 1;
+  EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
+  frame[4] = 3;
   EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
 }
 
@@ -547,7 +551,7 @@ TEST(NetTransport, MailboxFifoAndNewestWins) {
   HaloPacket out;
   out.seq = 42;
   out.data = {1.5, -2.5};
-  ASSERT_TRUE(t.send(0, 1, HaloTag::kResidualBlock, std::move(out)));
+  ASSERT_TRUE(t.send(0, 1, HaloTag::kBoundaryX, std::move(out)));
   MsgType type{};
   std::vector<std::uint8_t> payload;
   ASSERT_EQ(pair.b->recv_frame(type, payload, 5000), RecvStatus::kFrame);
@@ -561,16 +565,15 @@ TEST(NetTransport, MailboxFifoAndNewestWins) {
 
 TEST(NetTransport, LengthMismatchedFramesDropped) {
   // When the plan-derived payload lengths are configured, deliver() must
-  // drop any frame whose length disagrees -- a wrong-sized ghost or
-  // residual block off the wire can never reach the solver's copy loops
-  // (which would read or write out of bounds).
+  // drop any frame whose length disagrees -- a wrong-sized block off the
+  // wire can never reach the solver's copy loop (which would read or write
+  // out of bounds).
   ConnPair pair;
   SocketTransportOptions sto;
   sto.shard = 0;
   sto.num_shards = 2;
   sto.conn = pair.a.get();
-  sto.expect_boundary = {0, 3};  // peer 1 fills 3 ghost slots
-  sto.expect_residual = {0, 5};  // peer 1 owns 5 rows
+  sto.expect_boundary = {0, 5};  // peer 1 owns 5 rows
   SocketTransport t(sto);
 
   HaloFrameMsg m;
@@ -578,26 +581,24 @@ TEST(NetTransport, LengthMismatchedFramesDropped) {
   m.to = 0;
   m.seq = 1;
   m.tag = static_cast<std::uint8_t>(HaloTag::kBoundaryX);
-  m.data = {1.0, 2.0};  // short: 2 != 3 ghost slots
+  m.data = {1.0, 2.0};  // short: 2 != 5 owned rows
   t.deliver(m);
-  m.tag = static_cast<std::uint8_t>(HaloTag::kResidualBlock);
   m.data = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};  // long: 7 != 5 owned rows
   t.deliver(m);
   EXPECT_EQ(t.packets_dropped(), 2u);
   HaloPacket p;
   EXPECT_FALSE(t.recv_next(0, 1, HaloTag::kBoundaryX, p));
-  EXPECT_FALSE(t.recv_next(0, 1, HaloTag::kResidualBlock, p));
 
   // Exact lengths pass through untouched.
-  m.tag = static_cast<std::uint8_t>(HaloTag::kBoundaryX);
-  m.data = {1.0, 2.0, 3.0};
-  t.deliver(m);
-  m.tag = static_cast<std::uint8_t>(HaloTag::kResidualBlock);
   m.data = {1.0, 2.0, 3.0, 4.0, 5.0};
   t.deliver(m);
+  m.seq = 2;
+  t.deliver(m);
   ASSERT_TRUE(t.recv_next(0, 1, HaloTag::kBoundaryX, p));
-  EXPECT_EQ(p.data.size(), 3u);
-  ASSERT_TRUE(t.recv_next(0, 1, HaloTag::kResidualBlock, p));
+  EXPECT_EQ(p.seq, 1u);
+  EXPECT_EQ(p.data.size(), 5u);
+  ASSERT_TRUE(t.recv_next(0, 1, HaloTag::kBoundaryX, p));
+  EXPECT_EQ(p.seq, 2u);
   EXPECT_EQ(p.data.size(), 5u);
   EXPECT_EQ(t.packets_dropped(), 2u);
 
