@@ -201,11 +201,6 @@ void KernelBackend::csr_spmv_add(const CsrMatrix& a, const Vector& x,
   });
 }
 
-void KernelBackend::csr_spmv_transpose(const CsrMatrix& a, const Vector& x,
-                                       Vector& y) const {
-  a.spmv_transpose(x, y);
-}
-
 void KernelBackend::csr_residual(const CsrMatrix& a, const Vector& b,
                                  const Vector& x, Vector& r,
                                  bool parallel) const {

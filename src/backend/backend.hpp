@@ -89,8 +89,6 @@ class KernelBackend {
   /// y += alpha * A x.
   void csr_spmv_add(const CsrMatrix& a, const Vector& x, Vector& y,
                     double alpha, bool parallel) const;
-  void csr_spmv_transpose(const CsrMatrix& a, const Vector& x,
-                          Vector& y) const;
   void csr_residual(const CsrMatrix& a, const Vector& b, const Vector& x,
                     Vector& r, bool parallel) const;
   void csr_residual_rows(const CsrMatrix& a, const Vector& b, const Vector& x,

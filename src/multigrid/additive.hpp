@@ -11,6 +11,7 @@
 // out-of-date residuals.
 
 #include <string>
+#include <vector>
 
 #include "multigrid/setup.hpp"
 #include "multigrid/solve_stats.hpp"
@@ -31,15 +32,19 @@ struct AdditiveOptions {
   bool symmetrized_lambda = false;
 };
 
-/// Reusable buffers for AdditiveCorrector::correction -- callers that sit
-/// in a per-instant loop (the sequential simulators, the schedule replays)
-/// keep one across calls instead of reallocating seven vectors per
-/// correction. Contents are scratch; only capacity is reused.
+/// Reusable buffers for AdditiveCorrector::correction and
+/// accumulate_cycle -- callers that sit in a per-instant loop (the
+/// sequential simulators, the schedule replays, the shard loops) keep one
+/// across calls instead of reallocating per correction. Contents are
+/// scratch; only capacity is reused.
 struct CorrectionScratch {
   Vector r, next, e, r_next, u, pu, apu;
   /// Ping-pong buffer for the allocation-free multi-sweep smoothing inside
   /// corrections (smooth_zero_ws / apply_symmetrized_ws spill space).
   Vector swp;
+  /// accumulate_cycle's restriction chain: levels[j] is the fine residual
+  /// restricted to level j (entry 0 unused, level 0 is the caller's r).
+  std::vector<Vector> levels;
 };
 
 class AdditiveCorrector {
@@ -51,22 +56,27 @@ class AdditiveCorrector {
   std::size_t num_grids() const { return s_->num_levels(); }
 
   /// Fine-grid correction contributed by grid k given fine residual r:
-  /// c is resized and overwritten.
+  /// c is resized and overwritten. The residual is restricted through the
+  /// stored transposes (MgSetup::r / rbar) and the correction prolonged to
+  /// all fine rows; the asynchronous models call this per grid, each grid
+  /// on its own (possibly stale) residual.
   void correction(std::size_t k, const Vector& r_fine, Vector& c) const;
   /// Same computation (identical arithmetic, identical results), buffers
   /// drawn from `ws`.
   void correction(std::size_t k, const Vector& r_fine, Vector& c,
                   CorrectionScratch& ws) const;
 
-  /// Shard-local additive cycle: adds every grid's correction computed from
-  /// the fine residual `r` to rows [row_begin, row_end) of `acc` (other
-  /// rows untouched). Grid 0 with a Jacobi-type smoother is applied
-  /// row-locally (c_0[i] = inv_diag[i] * r[i], the apply_zero formula), so
-  /// a shard owning those rows never computes foreign fine-grid rows; the
-  /// remaining grids compute the full-length correction -- the replicated
-  /// coarse-level work of the sharded executor -- and add only the range.
-  /// Per-row arithmetic is identical for every range split: summing the
-  /// ranges of any partition reproduces the full-range result bitwise.
+  /// Additive cycle over a row range: adds every grid's correction
+  /// computed from the fine residual `r` to rows [row_begin, row_end) of
+  /// `acc` (other rows untouched), in grid order. The residual is
+  /// restricted down the whole chain once and each grid reads its level of
+  /// it; the levels >= 1 work is replicated by every caller, but each
+  /// grid's last prolongation P_1^0 computes only rows [row_begin,
+  /// row_end). Grid 0 with a Jacobi-type smoother is applied row-locally
+  /// (c_0[i] = inv_diag[i] * r[i], the apply_zero formula). Per-row
+  /// arithmetic equals correction(k) summed in grid order, for every range
+  /// split: summing the ranges of any partition reproduces the full-range
+  /// result bitwise.
   void accumulate_cycle(const Vector& r, Vector& acc, std::size_t row_begin,
                         std::size_t row_end, CorrectionScratch& ws,
                         Vector& c) const;
@@ -75,12 +85,16 @@ class AdditiveCorrector {
   std::vector<double> work() const;
 
  private:
-  void correction_chain(std::size_t k, const Vector& r_fine, Vector& c,
-                        CorrectionScratch& ws) const;
-  void correction_afacx(std::size_t k, const Vector& r_fine, Vector& c,
-                        CorrectionScratch& ws) const;
   /// Interpolant to use between levels j and j+1 for this method.
   const CsrMatrix& interp(std::size_t j) const;
+  /// Its stored transpose, the restriction from level j to j+1.
+  const CsrMatrix& restriction(std::size_t j) const;
+  /// Grid k's correction on level k into ws.e, from the level-k residual
+  /// `rk`; AFACx below the coarsest grid also reads rk1 = R_k rk.
+  void level_correction(std::size_t k, const Vector& rk, const Vector* rk1,
+                        CorrectionScratch& ws) const;
+  /// Prolongs ws.e from level k up to level 1 (no-op for k <= 1).
+  void prolong_to_level1(std::size_t k, CorrectionScratch& ws) const;
   void solve_coarsest(const Vector& r, Vector& e) const;
 
   const MgSetup* s_;

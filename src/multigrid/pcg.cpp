@@ -163,9 +163,12 @@ SolveStats pcg_solve(MultiplicativeMg& mg, const Vector& b, Vector& x,
 Preconditioner make_mg_preconditioner(const MgSetup& setup,
                                       MgPreconditionerKind kind) {
   switch (kind) {
-    case MgPreconditionerKind::kBpx: {
+    case MgPreconditionerKind::kBpx:
+    case MgPreconditionerKind::kMultaddSymmetrized: {
       AdditiveOptions ao;
-      ao.kind = AdditiveKind::kBpx;
+      ao.kind = kind == MgPreconditionerKind::kBpx ? AdditiveKind::kBpx
+                                                   : AdditiveKind::kMultadd;
+      ao.symmetrized_lambda = kind == MgPreconditionerKind::kMultaddSymmetrized;
       auto corr = std::make_shared<AdditiveCorrector>(setup, ao);
       // The lambda owns its correction scratch (the header's "workspaces
       // shared across calls" contract), so repeated applications allocate
@@ -174,25 +177,7 @@ Preconditioner make_mg_preconditioner(const MgSetup& setup,
       auto c = std::make_shared<Vector>();
       return [corr, ws, c](const Vector& r, Vector& z) {
         z.assign(r.size(), 0.0);
-        for (std::size_t k = 0; k < corr->num_grids(); ++k) {
-          corr->correction(k, r, *c, *ws);
-          axpy(1.0, *c, z);
-        }
-      };
-    }
-    case MgPreconditionerKind::kMultaddSymmetrized: {
-      AdditiveOptions ao;
-      ao.kind = AdditiveKind::kMultadd;
-      ao.symmetrized_lambda = true;
-      auto corr = std::make_shared<AdditiveCorrector>(setup, ao);
-      auto ws = std::make_shared<CorrectionScratch>();
-      auto c = std::make_shared<Vector>();
-      return [corr, ws, c](const Vector& r, Vector& z) {
-        z.assign(r.size(), 0.0);
-        for (std::size_t k = 0; k < corr->num_grids(); ++k) {
-          corr->correction(k, r, *c, *ws);
-          axpy(1.0, *c, z);
-        }
+        corr->accumulate_cycle(r, z, 0, r.size(), *ws, *c);
       };
     }
     case MgPreconditionerKind::kSymmetricVCycle: {

@@ -136,8 +136,9 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
     throw std::invalid_argument(
         "ClusterSolveOptions: crash_after must be empty or one per shard");
   }
-  const ShardPlan plan = make_shard_plan(setup.a(0), N);
-  if (b.size() != static_cast<std::size_t>(plan.n) || x.size() != b.size()) {
+  const std::vector<Range> owned = shard_owned_ranges(setup.a(0), N);
+  if (b.size() != static_cast<std::size_t>(setup.a(0).rows()) ||
+      x.size() != b.size()) {
     throw std::invalid_argument("ClusterCoordinator: b/x size mismatch");
   }
 
@@ -269,7 +270,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
             // workers re-validate at delivery; dropping here keeps a
             // confused worker's frames off the wire entirely.
             if (m.from == i && m.to < N &&
-                m.data.size() == plan.owned[i].size() &&
+                m.data.size() == owned[i].size() &&
                 !dead[m.to].load() && !done[m.to].load()) {
               conns[m.to]->send_frame(MsgType::kHaloFrame, payload);
               relayed.fetch_add(1, std::memory_order_relaxed);
@@ -366,7 +367,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
   // operator so recovery claims are measured, not assumed.
   for (std::size_t i = 0; i < N; ++i) {
     if (done[i].load()) {
-      const Range rg = plan.owned[i];
+      const Range rg = owned[i];
       const SolveDoneMsg& dm = results[i];
       if (dm.x_block.size() == rg.size()) {
         std::copy(dm.x_block.begin(), dm.x_block.end(),

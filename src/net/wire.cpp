@@ -67,10 +67,17 @@ void WireWriter::str(const std::string& s) {
 
 void WireWriter::vec(const std::vector<double>& v, WireWidth w) {
   u32(static_cast<std::uint32_t>(v.size()));
-  if (w == WireWidth::kF64) {
-    for (double x : v) f64(x);
-  } else {
+  if (w == WireWidth::kF32) {
     for (double x : v) f32(static_cast<float>(x));
+  } else if constexpr (std::endian::native == std::endian::little) {
+    // A little-endian host's doubles already are the wire's bytes.
+    const std::size_t at = buf_.size();
+    buf_.resize(at + v.size() * sizeof(double));
+    if (!v.empty()) {
+      std::memcpy(buf_.data() + at, v.data(), v.size() * sizeof(double));
+    }
+  } else {
+    for (double x : v) f64(x);
   }
 }
 
@@ -137,13 +144,18 @@ std::vector<double> WireReader::vec(WireWidth w) {
   const std::size_t elem = w == WireWidth::kF64 ? 8 : 4;
   need(static_cast<std::size_t>(len) * elem);
   std::vector<double> v;
-  v.reserve(len);
-  if (w == WireWidth::kF64) {
-    for (std::uint32_t i = 0; i < len; ++i) v.push_back(f64());
-  } else {
+  if (w == WireWidth::kF32) {
+    v.reserve(len);
     for (std::uint32_t i = 0; i < len; ++i) {
       v.push_back(static_cast<double>(f32()));
     }
+  } else if constexpr (std::endian::native == std::endian::little) {
+    v.resize(len);
+    if (len > 0) std::memcpy(v.data(), p_ + off_, len * sizeof(double));
+    off_ += len * sizeof(double);
+  } else {
+    v.reserve(len);
+    for (std::uint32_t i = 0; i < len; ++i) v.push_back(f64());
   }
   return v;
 }
@@ -185,6 +197,7 @@ std::vector<std::uint8_t> encode_frame(
     throw WireError("payload exceeds kMaxPayloadBytes");
   }
   WireWriter w;
+  w.reserve(kFrameHeaderBytes + payload.size());
   w.u32(kWireMagic);
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(type));

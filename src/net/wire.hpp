@@ -13,11 +13,15 @@
 // lacks its key; the checksum hashes the payload in 8-byte words
 // (wire_checksum).
 //
-// All integers are little-endian ON THE WIRE regardless of host order --
-// encode/decode goes through explicit byte shifts, never memcpy of host
-// representations -- and floating-point payloads are width-aware (fp64 or
-// fp32 per frame, the PR 7 precision tags carried into the halo path): an
-// fp32 frame ships 4-byte IEEE singles that round-trip bit for bit.
+// All integers and floats are little-endian ON THE WIRE regardless of host
+// order, so the format is the contract, not a host layout. Scalars go
+// through explicit byte shifts. An fp64 vector -- the bulk of every halo
+// frame -- is one memcpy on a little-endian host, whose doubles already are
+// those bytes, and byte shifts on a big-endian one (chosen at compile time,
+// as wire_checksum reads its words).
+// Floating-point payloads are width-aware (fp64 or fp32 per frame, the
+// hierarchy's precision tags carried into the halo path): an fp32 frame
+// ships 4-byte IEEE singles that round-trip bit for bit.
 //
 // Decoding is defensive by construction: WireReader bounds-checks every
 // read and throws WireError on truncation, the frame header rejects bad
@@ -87,6 +91,7 @@ class WireWriter {
   /// narrows each value (the caller owns the rounding decision).
   void vec(const std::vector<double>& v, WireWidth w);
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -172,8 +177,9 @@ struct HelloAckMsg {
 /// by `setup_key`; a worker whose hello listed the key gets the key alone,
 /// any other also gets the hierarchy in the amg/serialize format (bit-exact
 /// round trip). Either way every participant holds the SAME MgSetup and
-/// ShardPlan -- no further coordination is needed for the BSP discipline to
-/// be bitwise reproducible across processes.
+/// owned row ranges (shard_owned_ranges) -- no further coordination is
+/// needed for the BSP discipline to be bitwise reproducible across
+/// processes.
 struct SolveRequestMsg {
   std::uint32_t shard = 0;
   std::uint32_t num_shards = 1;

@@ -147,12 +147,13 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   ao.afacx_s2 = req.afacx_s2;
   ao.symmetrized_lambda = req.symmetrized_lambda != 0;
   const AdditiveCorrector corrector(setup, ao);
-  const ShardPlan plan = make_shard_plan(setup.a(0), req.num_shards);
-  if (req.b.size() != static_cast<std::size_t>(plan.n)) {
+  const std::vector<Range> owned =
+      shard_owned_ranges(setup.a(0), req.num_shards);
+  if (req.b.size() != static_cast<std::size_t>(setup.a(0).rows())) {
     throw std::invalid_argument("workerd: b size does not match hierarchy");
   }
   const std::size_t s = req.shard;
-  const Range rg = plan.owned[s];
+  const Range rg = owned[s];
 
   // Every participant starts from the same x0, so solving can start with no
   // further exchange.
@@ -168,7 +169,7 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   // wrong-sized block.
   sto.expect_boundary.resize(req.num_shards, 0);
   for (std::size_t p = 0; p < req.num_shards; ++p) {
-    if (p != s) sto.expect_boundary[p] = plan.owned[p].size();
+    if (p != s) sto.expect_boundary[p] = owned[p].size();
   }
   SocketTransport transport(sto);
   NetPeerBoard board(req.num_shards, s, &conn);
@@ -201,7 +202,7 @@ bool WorkerDaemon::handle_solve(FrameConn& conn, const SolveRequestMsg& req,
   WakeFd solver_done;
   ShardWorkerResult result;
   std::thread solver([&] {
-    result = run_shard_worker(plan, corrector, req.b, x_view, transport,
+    result = run_shard_worker(owned, corrector, req.b, x_view, transport,
                               board, wo);
     solver_done.signal();
   });

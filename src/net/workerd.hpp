@@ -21,10 +21,11 @@
 //                          beats it waits on the solver's WakeFd, so it
 //                          ends with the solve.
 //
-// Determinism: the worker rebuilds the full MgSetup and ShardPlan from the
-// serialized hierarchy (amg/serialize round trips bit-exactly) and starts
-// from the request's x0, so every process starts from identical state with
-// no data exchange beyond the request. Setups are
+// Determinism: the worker rebuilds the full MgSetup from the serialized
+// hierarchy (amg/serialize round trips bit-exactly), computes every shard's
+// owned rows from it (shard_owned_ranges) and starts from the request's
+// x0, so every process starts from identical state with no data exchange
+// beyond the request. Setups are
 // cached by the request's setup_key (net/wire.hpp) in a small LRU whose
 // keys the hello lists, so the coordinator sends the hierarchy only to a
 // worker that lacks it, and a cached key solves at once (the remote

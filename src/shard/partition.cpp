@@ -25,22 +25,25 @@ std::size_t ShardPlan::total_halo() const {
   return t;
 }
 
-ShardPlan make_shard_plan(const CsrMatrix& a, std::size_t num_shards) {
+std::vector<Range> shard_owned_ranges(const CsrMatrix& a,
+                                      std::size_t num_shards) {
   if (a.rows() != a.cols()) {
-    throw std::invalid_argument("make_shard_plan: matrix must be square");
+    throw std::invalid_argument("shard plan: matrix must be square");
   }
   if (num_shards < 1) {
-    throw std::invalid_argument("make_shard_plan: num_shards must be >= 1");
+    throw std::invalid_argument("shard plan: num_shards must be >= 1");
   }
   if (num_shards > static_cast<std::size_t>(a.rows())) {
-    throw std::invalid_argument(
-        "make_shard_plan: more shards than matrix rows");
+    throw std::invalid_argument("shard plan: more shards than matrix rows");
   }
+  return nnz_balanced_chunks(a.row_ptr(), num_shards);
+}
 
+ShardPlan make_shard_plan(const CsrMatrix& a, std::size_t num_shards) {
   ShardPlan plan;
   plan.num_shards = num_shards;
   plan.n = a.rows();
-  plan.owned = nnz_balanced_chunks(a.row_ptr(), num_shards);
+  plan.owned = shard_owned_ranges(a, num_shards);
 
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();

@@ -54,8 +54,13 @@ struct ShardPlan {
   std::size_t total_halo() const;
 };
 
-/// Builds the plan for `a` (square fine matrix). `num_shards` must be >= 1
-/// and <= rows; throws std::invalid_argument otherwise.
+/// ShardPlan::owned alone, for callers that need no halo lists or local
+/// stencils (the shard loop, run_shard_worker). `a` must be square and
+/// `num_shards` in [1, rows]; throws std::invalid_argument otherwise.
+std::vector<Range> shard_owned_ranges(const CsrMatrix& a,
+                                      std::size_t num_shards);
+
+/// Builds the plan for `a`, with shard_owned_ranges' requirements.
 ShardPlan make_shard_plan(const CsrMatrix& a, std::size_t num_shards);
 
 }  // namespace asyncmg

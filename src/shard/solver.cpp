@@ -253,8 +253,8 @@ ShardResult ShardedSolver::run_async(const Vector& b, Vector& x, bool bsp) {
     wo.bsp = bsp;
     wo.faults = opts_.faults;
     wo.telemetry = opts_.telemetry;
-    wr[s] = run_shard_worker(plan_, corrector_, b, views[s], transport, board,
-                             wo);
+    wr[s] = run_shard_worker(plan_.owned, corrector_, b, views[s], transport,
+                             board, wo);
   };
 
   std::vector<std::thread> threads;

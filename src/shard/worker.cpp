@@ -31,14 +31,14 @@ bool await_frame(Transport& transport, const PeerBoard& board, std::size_t s,
 
 }  // namespace
 
-ShardWorkerResult run_shard_worker(const ShardPlan& plan,
+ShardWorkerResult run_shard_worker(const std::vector<Range>& owned,
                                    const AdditiveCorrector& corrector,
                                    const Vector& b, Vector& x_view,
                                    Transport& transport, PeerBoard& board,
                                    const ShardWorkerOptions& opts) {
   const std::size_t s = opts.shard;
-  const std::size_t S = plan.num_shards;
-  const Range rg = plan.owned[s];
+  const std::size_t S = owned.size();
+  const Range rg = owned[s];
   const CsrMatrix& a = corrector.setup().a(0);
   const FaultPlan* const faults = opts.faults;
   TelemetrySink* const tel =
@@ -56,10 +56,10 @@ ShardWorkerResult run_shard_worker(const ShardPlan& plan,
   // Writes the received block of peer p into the view. A packet whose
   // length is not p's owned-block length is discarded -- lost-message
   // semantics, so no Transport implementation can make the loop write
-  // outside the plan's ranges (socket transports additionally validate at
+  // outside the owned ranges (socket transports additionally validate at
   // delivery).
   auto apply_block = [&](std::size_t p) {
-    const Range prg = plan.owned[p];
+    const Range prg = owned[p];
     if (pkt.data.size() != prg.size()) return false;
     std::copy(pkt.data.begin(), pkt.data.end(),
               x_view.begin() + static_cast<std::ptrdiff_t>(prg.begin));

@@ -112,12 +112,13 @@ struct ShardWorkerResult {
   bool killed = false;
 };
 
-/// Runs one shard's correction loop to completion. `x_view` is the
-/// full-length initial iterate, identical in every participant (it is part
-/// of the problem, so processes agree without any startup exchange). On
-/// return its owned rows hold the shard's final block and every other row
-/// the newest block the shard received from that row's owner.
-ShardWorkerResult run_shard_worker(const ShardPlan& plan,
+/// Runs one shard's correction loop to completion. `owned` is every
+/// shard's row range (shard_owned_ranges; one entry per shard). `x_view` is
+/// the full-length initial iterate, identical in every participant (it is
+/// part of the problem, so processes agree without any startup exchange).
+/// On return its owned rows hold the shard's final block and every other
+/// row the newest block the shard received from that row's owner.
+ShardWorkerResult run_shard_worker(const std::vector<Range>& owned,
                                    const AdditiveCorrector& corrector,
                                    const Vector& b, Vector& x_view,
                                    Transport& transport, PeerBoard& board,

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "amg/precision.hpp"
 #include "mesh/problems.hpp"
 #include "multigrid/additive.hpp"
 #include "multigrid/mult.hpp"
+#include "multigrid/pcg.hpp"
+#include "oracle/reference_additive.hpp"
 #include "sparse/vec.hpp"
+#include "util/partition.hpp"
 #include "util/rng.hpp"
 
 namespace asyncmg {
@@ -224,6 +229,104 @@ TEST(AdditiveCorrector, CorrectionsSumToCycleUpdate) {
     mg.cycle(b, x2);
     for (std::size_t i = 0; i < b.size(); ++i) {
       EXPECT_NEAR(sum[i], x2[i], 1e-12) << additive_kind_name(kind);
+    }
+  }
+}
+
+bool bitwise_equal(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// correction(k) and accumulate_cycle over any row split against the
+// per-grid reference bodies (tests/oracle/reference_additive: scatter
+// restriction, full-length prolongation). The end-to-end BSP gates cannot
+// see an arithmetic change here, since their oracle runs the same
+// accumulate_cycle. Also pins the callers that sum all grids through
+// accumulate_cycle: AdditiveMg::cycle and the additive PCG preconditioners.
+TEST(AdditiveCorrector, MatchesReferenceOracleBitwise) {
+  struct Method {
+    AdditiveKind kind;
+    bool symmetrized;
+  };
+  const Method methods[] = {{AdditiveKind::kMultadd, false},
+                            {AdditiveKind::kMultadd, true},
+                            {AdditiveKind::kBpx, false},
+                            {AdditiveKind::kAfacx, false}};
+  for (PrecisionPolicy::Mode mode :
+       {PrecisionPolicy::Mode::kF64, PrecisionPolicy::Mode::kF32Coarse}) {
+    for (SmootherType st :
+         {SmootherType::kWeightedJacobi, SmootherType::kL1Jacobi,
+          SmootherType::kHybridJGS}) {
+      Problem prob = make_laplace_7pt(10);
+      MgOptions mo;
+      mo.smoother.type = st;
+      mo.smoother.num_blocks = 4;
+      mo.amg.precision = PrecisionPolicy{};
+      mo.amg.precision.mode = mode;
+      const MgSetup s(std::move(prob.a), mo);
+      ASSERT_GE(s.num_levels(), 3u);
+      const std::size_t n = static_cast<std::size_t>(s.a(0).rows());
+      Rng rng(21);
+      const Vector b = random_vector(n, rng);
+      const Vector x0 = random_vector(n, rng);
+      Vector r;
+      s.a(0).residual(b, x0, r);
+      // Exact zeros: the scatter restriction skips them, the gather adds
+      // their (zero) products.
+      for (std::size_t i = 0; i < n; i += 5) r[i] = i % 10 == 0 ? 0.0 : -0.0;
+
+      for (const Method& m : methods) {
+        AdditiveOptions ao;
+        ao.kind = m.kind;
+        ao.symmetrized_lambda = m.symmetrized;
+        const AdditiveCorrector corr(s, ao);
+        const std::string tag = additive_kind_name(m.kind) +
+                                (m.symmetrized ? "+sym " : " ") +
+                                precision_mode_name(mode) + " smoother " +
+                                std::to_string(static_cast<int>(st));
+        CorrectionScratch ws;
+        Vector c, c_ref;
+        for (std::size_t k = 0; k < corr.num_grids(); ++k) {
+          oracle::reference_correction(s, ao, k, r, c_ref);
+          corr.correction(k, r, c, ws);
+          EXPECT_TRUE(bitwise_equal(c, c_ref)) << tag << " grid " << k;
+          corr.correction(k, r, c);
+          EXPECT_TRUE(bitwise_equal(c, c_ref)) << tag << " grid " << k;
+        }
+
+        Vector acc_ref = x0;
+        oracle::reference_additive_cycle(s, ao, r, acc_ref);
+        for (std::size_t parts : {1u, 2u, 3u, 7u}) {
+          Vector acc = x0;
+          for (const Range& rg : static_chunks(n, parts)) {
+            corr.accumulate_cycle(r, acc, rg.begin, rg.end, ws, c);
+          }
+          EXPECT_TRUE(bitwise_equal(acc, acc_ref)) << tag << " " << parts;
+        }
+
+        if (!m.symmetrized) {
+          // AdditiveMg::cycle: x0 plus every grid's correction of b - A x0
+          // (whose residual has no planted zeros).
+          Vector r_cycle, cycle_ref = x0;
+          s.a(0).residual(b, x0, r_cycle);
+          oracle::reference_additive_cycle(s, ao, r_cycle, cycle_ref);
+          AdditiveMg mg(s, ao);
+          Vector x = x0;
+          mg.cycle(b, x);
+          EXPECT_TRUE(bitwise_equal(x, cycle_ref)) << tag << " cycle";
+        }
+        if (m.kind == AdditiveKind::kBpx || m.symmetrized) {
+          Vector z_ref(n, 0.0), z;
+          oracle::reference_additive_cycle(s, ao, r, z_ref);
+          make_mg_preconditioner(
+              s, m.kind == AdditiveKind::kBpx
+                     ? MgPreconditionerKind::kBpx
+                     : MgPreconditionerKind::kMultaddSymmetrized)(r, z);
+          EXPECT_TRUE(bitwise_equal(z, z_ref)) << tag << " preconditioner";
+        }
+      }
     }
   }
 }

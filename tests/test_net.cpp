@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -92,6 +93,23 @@ TEST(Wire, PrimitivesRoundTrip) {
   const std::vector<double> v = r.vec(WireWidth::kF64);
   EXPECT_EQ(v, (std::vector<double>{1.0, -2.5, 1e-300}));
   EXPECT_NO_THROW(r.expect_end());
+
+  // The fp64 vector format by its bytes: u32 count, then each IEEE double
+  // little-endian (1.0 = 0x3FF0..., -2.5 = 0xC004...), on any host order.
+  const std::vector<std::uint8_t> expected = {
+      0x02, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0,  // -2.5
+  };
+  WireWriter lit;
+  lit.vec({1.0, -2.5}, WireWidth::kF64);
+  EXPECT_EQ(lit.bytes(), expected);
+  WireReader lit_r(expected);
+  const std::vector<double> back = lit_r.vec(WireWidth::kF64);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back[0]), 0x3FF0000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back[1]), 0xC004000000000000ull);
+  EXPECT_NO_THROW(lit_r.expect_end());
 }
 
 TEST(Wire, HaloFramesRoundTripBitExact) {
