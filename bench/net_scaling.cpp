@@ -1,10 +1,11 @@
 // Multi-process solver service bench + CI smoke gate. Unlike shard_scaling
 // (threads in one process), this harness fork/execs REAL asyncmg_workerd
 // processes on ephemeral loopback ports and drives them through the
-// ClusterCoordinator, so the wire protocol, the relay, and the
-// process-fault-tolerant control plane are all exercised end to end.
+// ClusterCoordinator, so the wire protocol, the workers' direct peer links,
+// and the process-fault-tolerant control plane are all exercised end to
+// end.
 //
-// Three hard gates run before any measurement (each exits 1 on failure):
+// Five hard gates (each exits 1 on failure):
 //
 //   1. BSP identity: the multi-process bulk-synchronous solve is bitwise
 //      identical to the in-process single-shard oracle at every worker count.
@@ -17,11 +18,17 @@
 //   4. Setup key path: in every sweep row the first solve on a fresh fleet
 //      ships the hierarchy to every worker, the warm solves after it to
 //      none, and all of them return the same bits.
+//   5. Direct links: every BSP solve of every sweep row (all fault-free)
+//      sends exactly N(N-1) halo frames per round on the workers' own
+//      links, and the coordinator relays none.
 //
 // The worker-count x problem-size sweep runs each row on a fresh fleet and
 // reports the first (cold) solve apart from the median of the warm solves
-// after it, with residual and wire traffic (bytes per correction of a warm
-// solve). --json writes the machine-readable summary, host-stamped
+// after it, with residual, halo frames per solve, the time of one BSP
+// round -- (warm t_max solve - warm 1-round solve) / (t_max - 1), so the
+// fixed cost of a solve drops out -- and wire traffic (bytes per
+// correction of a warm solve). --json writes the machine-readable summary,
+// host-stamped
 // (default BENCH_net.json); --smoke shrinks everything for CI.
 // --trace-dir / --log-dir collect per-worker Chrome traces and stderr logs
 // as CI artifacts.
@@ -155,9 +162,12 @@ struct Measurement {
   std::uint64_t first_setup_misses = 0;
   std::uint64_t first_bytes_sent = 0;
   double warm_seconds = 0.0;             // median
+  double warm_round1_seconds = 0.0;      // median of warm 1-round solves
+  double us_per_round = 0.0;
   std::uint64_t warm_setup_misses = 0;   // summed over the warm solves
   double final_rel_res = 1.0;
-  std::uint64_t frames_relayed = 0;      // of the last warm solve, as below
+  std::uint64_t halo_frames = 0;         // of the last warm solve, as below
+  std::uint64_t frames_relayed = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   double bytes_per_correction = 0.0;
@@ -275,12 +285,12 @@ int main(int argc, char** argv) {
   std::cout << "gate 2: deterministic worker crash recovered (survivors "
                "finished all rounds, residual bounded)\n";
 
-  // --- Sweep: worker count x problem size (gate 4 on every row) ------------
+  // --- Sweep: worker count x problem size (gates 4, 5 on every row) --------
   const auto sizes = smoke ? std::vector<std::int64_t>{n}
                            : cli.get_int_list("sizes", {8, 12});
   const int warm_solves = smoke ? 2 : 5;
-  Table table({"workers", "n", "dofs", "cold", "warm", "relres", "relayed",
-               "bytes/corr"});
+  Table table({"workers", "n", "dofs", "cold", "warm", "us/round", "relres",
+               "halo", "bytes/corr"});
   std::vector<Measurement> runs;
   for (std::int64_t size : sizes) {
     Problem p = make_problem(TestSet::kFD7pt, size);
@@ -306,8 +316,19 @@ int main(int argc, char** argv) {
       cso.bsp = true;
       cso.t_max = t_max;
       cso.additive = ao;
+      // Gate 5: a fault-free BSP solve of `rounds` rounds sends every peer
+      // one halo frame per round on the direct links, relaying none.
+      bool links_ok = true;
+      auto direct = [&](const ClusterResult& res, int rounds) {
+        links_ok = links_ok && res.dead_workers.empty() &&
+                   res.frames_relayed == 0 &&
+                   res.halo_frames == static_cast<std::uint64_t>(wc) *
+                                          static_cast<std::uint64_t>(wc - 1) *
+                                          static_cast<std::uint64_t>(rounds);
+      };
       Vector x_first(sr, 0.0);
       const ClusterResult first = coordinator.solve(s, sb, x_first, cso);
+      direct(first, t_max);
       Measurement m;
       m.workers = static_cast<std::size_t>(wc);
       m.n = size;
@@ -317,10 +338,19 @@ int main(int argc, char** argv) {
       m.first_bytes_sent = first.bytes_sent;
       bool same_bits = true;
       std::vector<double> warm;
+      std::vector<double> warm_round1;
+      ClusterSolveOptions one_round = cso;
+      one_round.t_max = 1;
       ClusterResult r;
       for (int k = 0; k < warm_solves; ++k) {
+        Vector x1(sr, 0.0);
+        const ClusterResult r1 = coordinator.solve(s, sb, x1, one_round);
+        direct(r1, 1);
+        warm_round1.push_back(r1.seconds);
+        m.warm_setup_misses += r1.setup_misses;
         Vector x(sr, 0.0);
         r = coordinator.solve(s, sb, x, cso);
+        direct(r, t_max);
         warm.push_back(r.seconds);
         m.warm_setup_misses += r.setup_misses;
         same_bits = same_bits && x == x_first;
@@ -336,8 +366,21 @@ int main(int argc, char** argv) {
                   << (same_bits ? "bitwise equal" : "differ") << "\n";
         return 1;
       }
+      if (!links_ok) {
+        std::cerr << "FAIL: direct links with " << wc << " workers at n="
+                  << size << ": a fault-free BSP solve did not send exactly "
+                  << wc * (wc - 1) << " halo frames per round on the peer "
+                  << "links with none relayed (last warm solve: "
+                  << r.to_json() << ")\n";
+        return 1;
+      }
       m.warm_seconds = median(warm);
+      m.warm_round1_seconds = median(warm_round1);
+      m.us_per_round = t_max > 1 ? (m.warm_seconds - m.warm_round1_seconds) /
+                                       (t_max - 1) * 1e6
+                                 : 0.0;
       m.final_rel_res = r.final_rel_res;
+      m.halo_frames = r.halo_frames;
       m.frames_relayed = r.frames_relayed;
       m.bytes_sent = r.bytes_sent;
       m.bytes_received = r.bytes_received;
@@ -351,18 +394,23 @@ int main(int argc, char** argv) {
       table.add_row({std::to_string(wc), std::to_string(size),
                      std::to_string(sr), Table::fmt(m.first_seconds, 4),
                      Table::fmt(m.warm_seconds, 4),
+                     Table::fmt(m.us_per_round, 3),
                      Table::fmt(r.final_rel_res, 3),
-                     std::to_string(r.frames_relayed),
+                     std::to_string(r.halo_frames),
                      Table::fmt(m.bytes_per_correction, 0)});
     }
   }
   std::cout << "gate 4: every cold solve shipped the hierarchy to every "
-               "worker, no warm one did, all answers bitwise equal\n\n";
+               "worker, no warm one did, all answers bitwise equal\n";
+  std::cout << "gate 5: every fault-free BSP solve sent N(N-1) halo frames "
+               "per round on direct peer links, none relayed\n\n";
   table.emit(cli.get("csv", ""));
   std::cout << "\nReading: the cold solve ships the hierarchy to every "
                "worker, which loads it; a warm solve ships only the setup "
-               "key, b and x0, so its bytes/corr is the data plane (relayed "
-               "halo frames), which grows with worker count\n\n";
+               "key, b and x0, so its bytes/corr is the data plane (halo "
+               "frames on the peer links), which grows with worker count. "
+               "us/round is one BSP round: a correction plus one hop of "
+               "the x-block exchange\n\n";
 
   // --- Gate 3: real SIGKILL mid-solve -------------------------------------
   // Timing-dependent by nature: escalate t_max until the kill lands while
@@ -434,6 +482,7 @@ int main(int argc, char** argv) {
       << ",\"smoke\":" << (smoke ? 1 : 0)
       << ",\"bsp_bitwise_oracle\":\"pass\",\"crash_after_recovery\":\"pass\""
       << ",\"sigkill_recovery\":\"pass\",\"setup_key_path\":\"pass\""
+      << ",\"direct_links\":\"pass\""
       << ",\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Measurement& m = runs[i];
@@ -443,8 +492,11 @@ int main(int argc, char** argv) {
         << ",\"first_setup_misses\":" << m.first_setup_misses
         << ",\"first_bytes_sent\":" << m.first_bytes_sent
         << ",\"warm_seconds\":" << m.warm_seconds
+        << ",\"warm_round1_seconds\":" << m.warm_round1_seconds
+        << ",\"us_per_round\":" << m.us_per_round
         << ",\"warm_setup_misses\":" << m.warm_setup_misses
         << ",\"final_rel_res\":" << m.final_rel_res
+        << ",\"halo_frames\":" << m.halo_frames
         << ",\"frames_relayed\":" << m.frames_relayed
         << ",\"bytes_sent\":" << m.bytes_sent << ",\"bytes_received\":"
         << m.bytes_received << ",\"bytes_per_correction\":"

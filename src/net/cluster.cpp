@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -53,6 +54,7 @@ std::string ClusterResult::to_json() const {
   o << "{\"final_rel_res\":" << final_rel_res << ",\"seconds\":" << seconds
     << ",\"reads_dropped\":" << reads_dropped
     << ",\"frames_relayed\":" << frames_relayed
+    << ",\"halo_frames\":" << halo_frames
     << ",\"frames_dropped\":" << frames_dropped
     << ",\"bytes_sent\":" << bytes_sent
     << ",\"bytes_received\":" << bytes_received
@@ -111,7 +113,7 @@ ClusterCoordinator::WorkerLink ClusterCoordinator::connect_worker(
       if (!conn->send_frame(MsgType::kHelloAck, encode_hello_ack(ack))) {
         throw SocketError("worker closed during handshake");
       }
-      return {std::move(conn), std::move(hello.setup_keys)};
+      return {std::move(conn), std::move(hello.setup_keys), hello.data_port};
     } catch (const std::exception& e) {
       last_error = e.what();
     }
@@ -148,17 +150,22 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
 
   std::vector<std::unique_ptr<FrameConn>> conns(N);
   std::vector<std::vector<std::uint64_t>> cached(N);  // keys per hello
+  SolveRequestMsg base;
   for (std::size_t i = 0; i < N; ++i) {
     WorkerLink link = connect_worker(i, res.connect_retries);
     conns[i] = std::move(link.conn);
     cached[i] = std::move(link.setup_keys);
+    // A worker's data listener is on the host we dialled it at.
+    base.peers.push_back({opts_.endpoints[i].host, link.data_port});
   }
 
-  // One request per worker, all sent before any reader relays a frame, so
-  // TCP order keeps every frame of this solve behind its worker's request.
-  // A worker whose hello listed the setup key gets the key alone; any other
-  // also gets the hierarchy, serialized at most once per solve.
-  SolveRequestMsg base;
+  // One request per worker. A worker whose hello listed the setup key gets
+  // the key alone; any other also gets the hierarchy, serialized at most
+  // once per solve. Every request names each shard's data endpoint and this
+  // solve's link nonce, so the workers link to each other directly.
+  std::random_device entropy;
+  base.link_nonce = static_cast<std::uint64_t>(entropy()) << 32 | entropy();
+  base.link_timeout_ms = static_cast<std::uint32_t>(opts_.connect_timeout_ms);
   base.num_shards = static_cast<std::uint32_t>(N);
   base.bsp = so.bsp ? 1 : 0;
   base.width = opts_.width;
@@ -199,17 +206,16 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
     }
   }
 
-  // Relay loop: one reader per worker; the monitor below owns heartbeat
-  // timeouts. All shared flags are atomics; bc_mu serializes the dead/done
-  // bookkeeping (check-and-set plus target snapshot) so every survivor sees
-  // each kPeerDead exactly once -- but the blocking send_frame calls happen
+  // One reader per worker; the monitor below owns heartbeat timeouts. All
+  // shared flags are atomics; bc_mu serializes the dead/done bookkeeping
+  // (check-and-set plus target snapshot) so every survivor sees each
+  // kPeerDead exactly once -- but the blocking send_frame calls happen
   // OUTSIDE the lock, so a survivor with a full send buffer can never stall
   // another death broadcast or the monitor's mark_dead behind bc_mu.
   std::vector<std::atomic<std::int64_t>> last_seen(N);
   std::vector<std::atomic<bool>> done(N), dead(N);
   for (std::size_t i = 0; i < N; ++i) last_seen[i].store(now_ns());
   std::vector<SolveDoneMsg> results(N);
-  std::atomic<std::uint64_t> relayed{0};
   std::mutex bc_mu;
   // Each reader bumps `settled` when its worker is done or dead; the
   // monitor below sleeps on settled_cv between heartbeat deadlines.
@@ -229,10 +235,10 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
         }
       }
     }
-    // Cut the dead worker loose FIRST: shutdown_both unblocks any relayer
-    // mid-send to it and forces its reader out of poll, so the recovery
-    // path never waits on the very connection that stopped draining. A
-    // target that died between snapshot and send just fails its send.
+    // Cut the dead worker loose FIRST: shutdown_both forces its reader out
+    // of poll, so the recovery path never waits on the very connection
+    // that stopped draining. A target that died between snapshot and send
+    // just fails its send.
     conns[i]->shutdown_both();
     PeerDeadMsg m;
     m.shard = static_cast<std::uint32_t>(i);
@@ -263,39 +269,6 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
         }
         last_seen[i].store(now_ns(), std::memory_order_relaxed);
         switch (type) {
-          case MsgType::kHaloFrame: {
-            const HaloFrameMsg m = decode_halo_frame(payload);
-            // Relay only frames consistent with the plan: the worker must
-            // speak as itself and the payload must be its owned block. The
-            // workers re-validate at delivery; dropping here keeps a
-            // confused worker's frames off the wire entirely.
-            if (m.from == i && m.to < N &&
-                m.data.size() == owned[i].size() &&
-                !dead[m.to].load() && !done[m.to].load()) {
-              conns[m.to]->send_frame(MsgType::kHaloFrame, payload);
-              relayed.fetch_add(1, std::memory_order_relaxed);
-            }
-            break;
-          }
-          case MsgType::kProgress: {
-            // A worker may only publish its own progress (a spoofed commit
-            // count would defeat peers' bounded-skew gates).
-            if (decode_progress(payload).shard != i) break;
-            std::vector<std::size_t> targets;
-            {
-              std::lock_guard<std::mutex> lock(bc_mu);
-              for (std::size_t j = 0; j < N; ++j) {
-                if (j != i && !dead[j].load() && !done[j].load()) {
-                  targets.push_back(j);
-                }
-              }
-            }
-            // Sends outside bc_mu (see the mark_dead rationale above).
-            for (std::size_t j : targets) {
-              conns[j]->send_frame(MsgType::kProgress, payload);
-            }
-            break;
-          }
           case MsgType::kHeartbeat:
             break;  // recency already noted
           case MsgType::kSolveDone: {
@@ -303,6 +276,9 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
             done[i].store(true);
             return;
           }
+          case MsgType::kHaloFrame:
+            // Blocks travel on the workers' own links, never through here.
+            throw WireError("halo frame on a coordinator connection");
           default:
             break;
         }
@@ -375,14 +351,16 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
       }
       res.corrections[i] = static_cast<int>(dm.corrections);
       res.reads_dropped += static_cast<int>(dm.reads_dropped);
+      res.halo_frames += dm.frames_sent;
       res.frames_dropped += dm.frames_dropped;
+      res.bytes_sent += dm.bytes_sent;
+      res.bytes_received += dm.bytes_received;
     } else {
       res.dead_workers.push_back(i);
     }
     res.bytes_sent += conns[i]->bytes_sent();
     res.bytes_received += conns[i]->bytes_received();
   }
-  res.frames_relayed = relayed.load();
   res.seconds = timer.seconds();
 
   Vector r;
@@ -392,7 +370,7 @@ ClusterResult ClusterCoordinator::solve(const MgSetup& setup, const Vector& b,
 
   if (opts_.telemetry != nullptr) {
     MetricsRegistry& m = opts_.telemetry->metrics();
-    m.counter("net.cluster.frames_relayed").add(res.frames_relayed);
+    m.counter("net.cluster.halo_frames").add(res.halo_frames);
     m.counter("net.cluster.solves").add(1);
     m.counter("net.cluster.dead_workers").add(res.dead_workers.size());
     m.counter("net.cluster.connect_retries").add(res.connect_retries);

@@ -2,21 +2,23 @@
 // Control plane of the multi-process solver service (DESIGN.md section 14).
 //
 // ClusterCoordinator drives one solve across N worker daemons, one shard
-// each, hub-and-spoke: every worker holds a single TCP connection to the
-// coordinator and the coordinator relays data-plane frames between them.
-// Per solve it
+// each. It holds one TCP connection per worker and carries only the control
+// plane; the workers link to each other directly and send their x blocks
+// on those links. Per solve it
 //
 //   1. connects to every endpoint with jittered exponential backoff
 //      (util/backoff) and handshakes the shard assignment; each worker's
-//      hello lists the setup keys it caches,
+//      hello lists the setup keys it caches and names its data port,
 //   2. sends each worker one kSolveRequest: the setup key + b + x0 + solver
-//      options, plus the serialized hierarchy when that worker's hello did
-//      not list the key -- either way every worker holds identical state,
-//   3. relays kHaloFrame by destination, broadcasts kProgress, and tracks
-//      liveness (heartbeat recency and connection EOF); a worker declared
-//      dead gets kPeerDead broadcast to the survivors, whose gates and BSP
-//      waits then exempt it (Criterion-2 across processes: the dead shard's
-//      rows freeze, nobody deadlocks),
+//      options, every shard's data endpoint, a fresh link nonce and the
+//      link deadline (connect_timeout_ms), plus the serialized hierarchy
+//      when that worker's hello did not list the key -- either way every
+//      worker holds identical state,
+//   3. tracks liveness (heartbeat recency and connection EOF); a worker
+//      declared dead gets kPeerDead broadcast to the survivors, whose
+//      gates and BSP waits then exempt it (Criterion-2 across processes:
+//      the dead shard's rows freeze, nobody deadlocks). A halo frame on a
+//      coordinator connection is a protocol violation,
 //   4. assembles the result: owned blocks from each kSolveDone, the initial
 //      block x0 for dead shards, and the true final residual computed
 //      against the coordinator's own copy of the operator.
@@ -43,14 +45,12 @@ namespace asyncmg {
 
 class TelemetrySink;
 
-struct Endpoint {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-};
-
 struct ClusterOptions {
   /// One worker per shard; shard id = position in this list.
   std::vector<Endpoint> endpoints;
+  /// Bounds each dial and handshake, and is every solve's link deadline:
+  /// a peer link not up this long after a worker's request arrives counts
+  /// as a peer dead from round 0.
   int connect_timeout_ms = 2000;
   /// Connection attempts per worker before the solve fails; attempts are
   /// separated by the jittered exponential backoff below.
@@ -59,7 +59,8 @@ struct ClusterOptions {
   /// A worker whose last heartbeat (or any frame) is older than this is
   /// declared dead mid-solve.
   double heartbeat_timeout_ms = 2000.0;
-  /// Halo payload width on the wire (fp32 halves the data-plane bytes).
+  /// Halo payload width on the peer links (fp32 halves the data-plane
+  /// bytes).
   WireWidth width = WireWidth::kF64;
   /// Coordinator-side counters under "net.cluster.*". Not owned.
   TelemetrySink* telemetry = nullptr;
@@ -88,10 +89,17 @@ struct ClusterResult {
   std::vector<int> corrections;       // per shard; 0 for dead workers
   std::vector<std::size_t> dead_workers;
   int reads_dropped = 0;
+  /// Frames the coordinator forwarded between workers: always 0, since x
+  /// blocks travel on the workers' own links.
   std::uint64_t frames_relayed = 0;
+  std::uint64_t halo_frames = 0;      // halo frames the workers sent, summed
   std::uint64_t frames_dropped = 0;   // worker mailbox + send drops, summed
-  std::uint64_t bytes_sent = 0;       // coordinator -> workers
-  std::uint64_t bytes_received = 0;   // workers -> coordinator
+  /// Coordinator -> workers, plus the peer-link bytes the workers sent
+  /// (from each kSolveDone).
+  std::uint64_t bytes_sent = 0;
+  /// Workers -> coordinator, plus the peer-link bytes the workers had
+  /// received when they reported.
+  std::uint64_t bytes_received = 0;
   std::uint64_t connect_retries = 0;  // backoff-spaced redials
   std::uint64_t setup_misses = 0;     // workers sent the hierarchy
   std::string to_json() const;
@@ -120,10 +128,12 @@ class ClusterCoordinator {
 
  private:
   /// A handshaken worker: its connection (FrameConn owns a mutex, so it
-  /// travels behind a pointer) and the setup keys its hello listed.
+  /// travels behind a pointer), the setup keys its hello listed and its
+  /// data port.
   struct WorkerLink {
     std::unique_ptr<FrameConn> conn;
     std::vector<std::uint64_t> setup_keys;
+    std::uint16_t data_port = 0;
   };
 
   /// Dial + handshake one worker, with backoff between attempts; counts

@@ -242,6 +242,35 @@ bool FrameConn::send_frame(MsgType type,
   return true;
 }
 
+bool FrameConn::peel_frame(MsgType& type,
+                           std::vector<std::uint8_t>& payload) {
+  if (rbuf_.size() < kFrameHeaderBytes) return false;
+  const FrameHeader h = decode_frame_header(rbuf_.data(), rbuf_.size());
+  const std::size_t total = kFrameHeaderBytes + h.payload_len;
+  if (rbuf_.size() < total) return false;
+  verify_frame_payload(h, rbuf_.data() + kFrameHeaderBytes);
+  type = h.type;
+  payload.assign(rbuf_.begin() + kFrameHeaderBytes,
+                 rbuf_.begin() + static_cast<std::ptrdiff_t>(total));
+  rbuf_.erase(rbuf_.begin(),
+              rbuf_.begin() + static_cast<std::ptrdiff_t>(total));
+  ++frames_received_;
+  return true;
+}
+
+bool FrameConn::read_available() {
+  if (!sock_.valid()) return false;
+  std::uint8_t chunk[65536];
+  const ssize_t n = ::recv(sock_.fd(), chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n < 0) {
+    return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+  if (n == 0) return false;  // orderly EOF
+  bytes_received_ += static_cast<std::uint64_t>(n);
+  rbuf_.insert(rbuf_.end(), chunk, chunk + n);
+  return true;
+}
+
 RecvStatus FrameConn::recv_frame(MsgType& type,
                                  std::vector<std::uint8_t>& payload,
                                  int timeout_ms, const WakeFd* wake) {
@@ -249,21 +278,7 @@ RecvStatus FrameConn::recv_frame(MsgType& type,
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(has_deadline ? timeout_ms : 0);
   for (;;) {
-    // Try to peel a complete frame off the reassembly buffer first.
-    if (rbuf_.size() >= kFrameHeaderBytes) {
-      const FrameHeader h = decode_frame_header(rbuf_.data(), rbuf_.size());
-      const std::size_t total = kFrameHeaderBytes + h.payload_len;
-      if (rbuf_.size() >= total) {
-        verify_frame_payload(h, rbuf_.data() + kFrameHeaderBytes);
-        type = h.type;
-        payload.assign(rbuf_.begin() + kFrameHeaderBytes,
-                       rbuf_.begin() + static_cast<std::ptrdiff_t>(total));
-        rbuf_.erase(rbuf_.begin(), rbuf_.begin() +
-                                       static_cast<std::ptrdiff_t>(total));
-        ++frames_received_;
-        return RecvStatus::kFrame;
-      }
-    }
+    if (peel_frame(type, payload)) return RecvStatus::kFrame;
     if (!sock_.valid()) return RecvStatus::kClosed;
 
     pollfd pfd[2] = {};
@@ -283,16 +298,8 @@ RecvStatus FrameConn::recv_frame(MsgType& type,
     if (wake != nullptr && (pfd[1].revents & POLLIN) != 0) {
       return RecvStatus::kWoken;
     }
-
-    std::uint8_t chunk[65536];
-    const ssize_t n = ::recv(sock_.fd(), chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return RecvStatus::kClosed;  // ECONNRESET et al.
-    }
-    if (n == 0) return RecvStatus::kClosed;  // orderly EOF
-    bytes_received_ += static_cast<std::uint64_t>(n);
-    rbuf_.insert(rbuf_.end(), chunk, chunk + n);
+    // ECONNRESET et al. as well as an orderly EOF.
+    if (!read_available()) return RecvStatus::kClosed;
   }
 }
 

@@ -122,9 +122,20 @@ class FrameConn {
   /// (-1 = forever), or -- when `wake` is given -- until it is signalled
   /// (kWoken). On kFrame fills `type` and `payload` (checksum already
   /// verified). Throws WireError on protocol violations (bad magic, bad
-  /// checksum, oversized length) -- callers drop the connection.
+  /// checksum, oversized length) -- callers drop the connection. Built on
+  /// the two steps below.
   RecvStatus recv_frame(MsgType& type, std::vector<std::uint8_t>& payload,
                         int timeout_ms, const WakeFd* wake = nullptr);
+
+  /// One nonblocking read of what the socket holds into the reassembly
+  /// buffer, for a caller that polls many connections itself. Returns
+  /// false on EOF or a reset; true otherwise, also when nothing was ready.
+  bool read_available();
+  /// Takes one complete, checksum-verified frame off the reassembly buffer;
+  /// false when none is complete. Throws WireError like recv_frame. A frame
+  /// already buffered does not make the socket poll readable, so a poller
+  /// peels until false before it polls again.
+  bool peel_frame(MsgType& type, std::vector<std::uint8_t>& payload);
 
   bool open() const { return sock_.valid() && !peer_gone_; }
   void close() { sock_.close(); }

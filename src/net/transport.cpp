@@ -17,8 +17,9 @@ void SocketTransportOptions::validate() const {
     throw std::invalid_argument(
         "SocketTransportOptions: mailbox_capacity must be >= 1");
   }
-  if (conn == nullptr) {
-    throw std::invalid_argument("SocketTransportOptions: conn must be set");
+  if (links.size() != num_shards) {
+    throw std::invalid_argument(
+        "SocketTransportOptions: links must hold one entry per shard");
   }
   if (!expect_boundary.empty() && expect_boundary.size() != num_shards) {
     throw std::invalid_argument(
@@ -40,8 +41,16 @@ bool SocketTransport::send(std::size_t from, std::size_t to, HaloTag tag,
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const HaloFrameMsg m = halo_to_wire(from, to, tag, p, opts_.width);
-  if (!opts_.conn->send_frame(MsgType::kHaloFrame, encode_halo_frame(m))) {
+  bool dead = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    dead = dead_[to];
+  }
+  FrameConn* const link = opts_.links[to];
+  if (dead || link == nullptr ||
+      !link->send_frame(MsgType::kHaloFrame,
+                        encode_halo_frame(
+                            halo_to_wire(from, to, tag, p, opts_.width)))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -87,16 +96,16 @@ void SocketTransport::peer_dead(std::size_t peer) {
   arrived_.notify_all();
 }
 
-void SocketTransport::deliver(const HaloFrameMsg& m) {
+bool SocketTransport::deliver(const HaloFrameMsg& m) {
   if (m.to != opts_.shard || m.from >= opts_.num_shards ||
       m.from == opts_.shard || m.tag >= kNumHaloTags) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   if (!opts_.expect_boundary.empty() &&
       m.data.size() != opts_.expect_boundary[m.from]) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -108,18 +117,14 @@ void SocketTransport::deliver(const HaloFrameMsg& m) {
     q.push_back(wire_to_halo(m));
   }
   arrived_.notify_all();
+  return true;
 }
 
-NetPeerBoard::NetPeerBoard(std::size_t num_shards, std::size_t self,
-                           FrameConn* conn)
-    : self_(self), conn_(conn), commits_(num_shards), dead_(num_shards) {}
+NetPeerBoard::NetPeerBoard(std::size_t num_shards, std::size_t self)
+    : self_(self), commits_(num_shards), dead_(num_shards) {}
 
 void NetPeerBoard::publish_commits(std::size_t self, int commits) {
   commits_[self].store(commits, std::memory_order_release);
-  ProgressMsg m;
-  m.shard = static_cast<std::uint32_t>(self);
-  m.commits = static_cast<std::uint64_t>(commits);
-  conn_->send_frame(MsgType::kProgress, encode_progress(m));
 }
 
 void NetPeerBoard::publish_dead(std::size_t self) {
@@ -129,15 +134,21 @@ void NetPeerBoard::publish_dead(std::size_t self) {
   dead_[self].store(true, std::memory_order_release);
 }
 
-void NetPeerBoard::apply_progress(const ProgressMsg& m) {
-  if (m.shard >= commits_.size() || m.shard == self_) return;
-  commits_[m.shard].store(static_cast<int>(m.commits),
-                          std::memory_order_release);
+void NetPeerBoard::apply_commits(std::size_t peer, std::uint64_t commits) {
+  if (peer >= commits_.size() || peer == self_) return;
+  commits_[peer].store(static_cast<int>(commits), std::memory_order_release);
 }
 
 void NetPeerBoard::apply_dead(std::size_t peer) {
   if (peer >= dead_.size() || peer == self_) return;
   dead_[peer].store(true, std::memory_order_release);
+}
+
+bool deliver_from_link(std::size_t peer, const HaloFrameMsg& m,
+                       SocketTransport& transport, NetPeerBoard& board) {
+  if (m.from != peer || !transport.deliver(m)) return false;
+  board.apply_commits(peer, m.seq);
+  return true;
 }
 
 }  // namespace asyncmg

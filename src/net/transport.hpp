@@ -1,15 +1,15 @@
 #pragma once
 // SocketTransport: the out-of-process implementation of the sharded
 // executor's Transport seam (shard/transport.hpp). One worker process holds
-// one SocketTransport over its single connection to the coordinator; frames
-// addressed to a peer are relayed by the coordinator (hub and spoke), so a
-// worker never dials its peers directly and the control plane sees every
-// byte of data traffic.
+// one SocketTransport over its direct TCP links to its peers, one link per
+// peer, opened for the solve (net/workerd.hpp); the coordinator carries
+// only the control plane and never sees a block.
 //
-//   send        encodes a HaloFrameMsg and writes it to the connection; a
-//               gone coordinator makes send return false (a dropped packet,
-//               exactly the ChannelTransport full-ring semantics).
-//   deliver     called by the daemon's reader thread for every inbound
+//   send        encodes a HaloFrameMsg and writes it to the peer's link; a
+//               dead peer is skipped, and a link that fails the write makes
+//               send return false -- either is a dropped packet, exactly
+//               the ChannelTransport full-ring semantics.
+//   deliver     called by the daemon's session thread for every inbound
 //               kHaloFrame: appends to the per-(peer, tag) mailbox. A full
 //               mailbox evicts the OLDEST frame (newest wins, counted as a
 //               drop) -- the BSP discipline never overflows (skew is
@@ -22,14 +22,15 @@
 //               fills the edge's mailbox or peer_dead marks its sender,
 //               each wait bounded by kWaitBound.
 //
-// Mailboxes are guarded by one mutex (reader thread vs solver thread; the
+// Mailboxes are guarded by one mutex (session thread vs solver thread; the
 // traffic is a handful of frames per round, far from contention). The
 // ChannelTransport stays lock-free for the in-process path; this class
 // exists for the process boundary where a socket round trip dwarfs a mutex.
 //
-// NetPeerBoard is the matching control-plane seam: commits published by the
-// local solver go out as kProgress frames (the coordinator broadcasts them),
-// peer commits and deaths arrive from the reader thread via apply_*.
+// NetPeerBoard is the matching control-plane seam. A halo frame's seq is its
+// sender's commit count, so peer commits are learned from delivered blocks
+// (deliver_from_link) and the local solver's publishes write nothing; peer
+// deaths arrive from the session thread via apply_dead.
 
 #include <atomic>
 #include <chrono>
@@ -55,8 +56,9 @@ struct SocketTransportOptions {
   /// receiver's view of foreign rows then holds fp32-rounded values, the
   /// PR 7 mixed-precision trade).
   WireWidth width = WireWidth::kF64;
-  /// Connection to the coordinator. Not owned; must outlive the transport.
-  FrameConn* conn = nullptr;
+  /// Link to each peer, indexed by shard; the own entry and any peer whose
+  /// link never came up are null. Not owned; must outlive the transport.
+  std::vector<FrameConn*> links;
   /// Expected kBoundaryX payload length per sending peer (indexed by peer):
   /// the plan's owned[peer].size(). Empty disables the check (bare
   /// unit-test rigs); when set (size num_shards), a frame whose payload
@@ -87,16 +89,18 @@ class SocketTransport final : public Transport {
   /// (deliver, peer_dead); the bound only caps the cost of one that is not.
   static constexpr std::chrono::milliseconds kWaitBound{5};
 
-  /// Reader-thread notice that `peer` will never send again: wakes a
-  /// wait_next on its edges. Call after the PeerBoard marks it dead.
+  /// Session-thread notice that `peer` will never send again: wakes a
+  /// wait_next on its edges, and send skips the peer from now on. Call
+  /// after the PeerBoard marks it dead.
   void peer_dead(std::size_t peer);
 
-  /// Inbound frame from the reader thread. Frames not addressed to this
-  /// shard, carrying an out-of-range peer, or whose payload length does not
-  /// match the plan expectation for the sending peer are counted as
-  /// dropped (a confused or malicious coordinator cannot corrupt a mailbox
-  /// or smuggle a wrong-sized payload to the solver).
-  void deliver(const HaloFrameMsg& m);
+  /// Inbound frame from the session thread; false when it was refused.
+  /// Frames not addressed to this shard, carrying an out-of-range peer, or
+  /// whose payload length does not match the plan expectation for the
+  /// sending peer are counted as dropped (a confused or malicious peer
+  /// cannot corrupt a mailbox or smuggle a wrong-sized payload to the
+  /// solver).
+  bool deliver(const HaloFrameMsg& m);
 
   std::uint64_t packets_sent() const override {
     return sent_.load(std::memory_order_relaxed);
@@ -120,12 +124,13 @@ class SocketTransport final : public Transport {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// PeerBoard over the coordinator connection: local state is a mirror of
-/// the cluster's progress, fed by the reader thread; the local shard's own
-/// publishes go out on the wire (and into the mirror, so self-reads agree).
+/// PeerBoard of one worker process: a mirror of the cluster's progress fed
+/// by the session thread. The local shard's own publishes only update the
+/// mirror (so self-reads agree); its peers learn its commits from the seq of
+/// the blocks it sends them.
 class NetPeerBoard final : public PeerBoard {
  public:
-  NetPeerBoard(std::size_t num_shards, std::size_t self, FrameConn* conn);
+  NetPeerBoard(std::size_t num_shards, std::size_t self);
 
   void publish_commits(std::size_t self, int commits) override;
   void publish_dead(std::size_t self) override;
@@ -136,15 +141,21 @@ class NetPeerBoard final : public PeerBoard {
     return dead_[peer].load(std::memory_order_acquire);
   }
 
-  /// Reader-thread application of inbound control frames.
-  void apply_progress(const ProgressMsg& m);
+  /// Session-thread updates: a peer's commit count, and its death.
+  void apply_commits(std::size_t peer, std::uint64_t commits);
   void apply_dead(std::size_t peer);
 
  private:
   std::size_t self_;
-  FrameConn* conn_;
   std::vector<std::atomic<int>> commits_;
   std::vector<std::atomic<bool>> dead_;
 };
+
+/// Dispatches one halo frame read off the link to `peer`: delivers it and
+/// sets the peer's commit count from its seq. False when it is not a block
+/// of that peer for this shard (wrong sender, receiver or length) -- the
+/// link's identity is the sender check, so the caller cuts the peer off.
+bool deliver_from_link(std::size_t peer, const HaloFrameMsg& m,
+                       SocketTransport& transport, NetPeerBoard& board);
 
 }  // namespace asyncmg

@@ -17,8 +17,8 @@ const char* msg_type_name(MsgType t) {
       return "solve-request";
     case MsgType::kHaloFrame:
       return "halo-frame";
-    case MsgType::kProgress:
-      return "progress";
+    case MsgType::kPeerHello:
+      return "peer-hello";
     case MsgType::kHeartbeat:
       return "heartbeat";
     case MsgType::kPeerDead:
@@ -261,6 +261,7 @@ std::vector<std::uint8_t> encode_hello(const HelloMsg& m) {
   w.str(m.name);
   w.u32(static_cast<std::uint32_t>(m.setup_keys.size()));
   for (std::uint64_t k : m.setup_keys) w.u64(k);
+  w.u16(m.data_port);
   return w.take();
 }
 
@@ -279,6 +280,7 @@ HelloMsg decode_hello(const std::vector<std::uint8_t>& p) {
   if (keys > r.remaining() / 8) throw WireError("truncated setup keys");
   m.setup_keys.resize(keys);
   for (std::uint64_t& k : m.setup_keys) k = r.u64();
+  m.data_port = r.u16();
   r.expect_end();
   return m;
 }
@@ -323,6 +325,13 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& m) {
   w.i64(m.max_dense_coarse);
   w.u32(static_cast<std::uint32_t>(m.crash_after));
   w.u64(m.setup_key);
+  w.u64(m.link_nonce);
+  w.u32(m.link_timeout_ms);
+  w.u32(static_cast<std::uint32_t>(m.peers.size()));
+  for (const Endpoint& e : m.peers) {
+    w.str(e.host);
+    w.u16(e.port);
+  }
   w.str(m.hierarchy);
   w.vec(m.b, WireWidth::kF64);
   w.vec(m.x0, WireWidth::kF64);
@@ -360,6 +369,21 @@ SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& p) {
   m.max_dense_coarse = r.i64();
   m.crash_after = static_cast<std::int32_t>(r.u32());
   m.setup_key = r.u64();
+  m.link_nonce = r.u64();
+  m.link_timeout_ms = r.u32();
+  if (m.link_timeout_ms < 1) throw WireError("bad link timeout");
+  const std::uint32_t peers = r.u32();
+  if (peers != 0 && peers != m.num_shards) {
+    throw WireError("peer endpoints must be none or one per shard");
+  }
+  // Bound the attacker-controlled count by the bytes present (an endpoint
+  // takes at least a u32 host length and a u16 port).
+  if (peers > r.remaining() / 6) throw WireError("truncated peer endpoints");
+  m.peers.resize(peers);
+  for (Endpoint& e : m.peers) {
+    e.host = r.str();
+    e.port = r.u16();
+  }
   m.hierarchy = r.str();
   m.b = r.vec(WireWidth::kF64);
   m.x0 = r.vec(WireWidth::kF64);
@@ -394,18 +418,21 @@ HaloFrameMsg decode_halo_frame(const std::vector<std::uint8_t>& p) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_progress(const ProgressMsg& m) {
+std::vector<std::uint8_t> encode_peer_hello(const PeerHelloMsg& m) {
   WireWriter w;
-  w.u32(m.shard);
-  w.u64(m.commits);
+  w.u64(m.nonce);
+  w.u32(m.from);
+  w.u32(m.to);
   return w.take();
 }
 
-ProgressMsg decode_progress(const std::vector<std::uint8_t>& p) {
+PeerHelloMsg decode_peer_hello(const std::vector<std::uint8_t>& p) {
   WireReader r(p);
-  ProgressMsg m;
-  m.shard = r.u32();
-  m.commits = r.u64();
+  PeerHelloMsg m;
+  m.nonce = r.u64();
+  m.from = r.u32();
+  m.to = r.u32();
+  if (m.from == m.to) throw WireError("peer hello to self");
   r.expect_end();
   return m;
 }

@@ -5,13 +5,17 @@
 //   [u32 magic "aMG1"] [u8 version] [u8 type] [u16 reserved = 0]
 //   [u32 payload_len]  [u32 payload checksum] [payload bytes]
 //
-// Version 4: a halo frame carries the sender's whole owned block of x
-// (HaloTag::kBoundaryX, the only payload kind), so a version-3 peer's
-// boundary-only frames would fail every length check; the header refuses
-// them instead. A worker's hello lists the setup keys it caches (setup_key
-// below), and a solve request carries the hierarchy only when that list
-// lacks its key; the checksum hashes the payload in 8-byte words
-// (wire_checksum).
+// Version 5: x blocks travel on direct worker-to-worker links, not through
+// the coordinator. A worker's hello carries its data port, a solve request
+// carries every shard's data endpoint plus a per-solve link nonce and link
+// deadline, and a link opens with kPeerHello. No message carries progress:
+// a halo frame's seq already is its sender's commit count. A version-4
+// worker would wait for relayed blocks that never come, so the header
+// refuses it. Since version 4 a halo frame carries the sender's whole owned
+// block of x (HaloTag::kBoundaryX, the only payload kind). A worker's hello
+// lists the setup keys it caches (setup_key below), and a solve request
+// carries the hierarchy only when that list lacks its key; the checksum
+// hashes the payload in 8-byte words (wire_checksum).
 //
 // All integers and floats are little-endian ON THE WIRE regardless of host
 // order, so the format is the contract, not a host layout. Scalars go
@@ -47,7 +51,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x314D4761u;  // "aMG1"
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// Upper bound on a payload; longer length prefixes are treated as
 /// corruption (protects the reassembly buffer from a hostile length).
@@ -57,8 +61,8 @@ enum class MsgType : std::uint8_t {
   kHello = 1,       // worker -> router: who am I
   kHelloAck,        // router -> worker: your shard assignment
   kSolveRequest,    // router -> worker: problem + role for one solve
-  kHaloFrame,       // worker <-> worker (relayed): owned block of x
-  kProgress,        // worker -> all: committed correction count
+  kHaloFrame,       // worker -> worker, on a peer link: owned block of x
+  kPeerHello,       // worker -> worker: first frame of a peer link
   kHeartbeat,       // worker -> router: liveness + progress
   kPeerDead,        // router -> workers: peer will never commit again
   kSolveDone,       // worker -> router: owned block + per-worker counters
@@ -159,12 +163,22 @@ void verify_frame_payload(const FrameHeader& h, const std::uint8_t* payload);
 
 enum class WireRole : std::uint8_t { kRouter = 0, kWorker = 1 };
 
+/// A TCP endpoint: a worker daemon's control port in ClusterOptions, its
+/// data port in a solve request's peer list.
+struct Endpoint {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+};
+
 struct HelloMsg {
   WireRole role = WireRole::kWorker;
   std::uint32_t protocol = kWireVersion;
   std::string name;
   /// setup_key of every setup the worker caches.
   std::vector<std::uint64_t> setup_keys;
+  /// Loopback port of the worker's data listener, where lower-numbered
+  /// peers dial it during a solve's link phase.
+  std::uint16_t data_port = 0;
 };
 
 struct HelloAckMsg {
@@ -179,7 +193,8 @@ struct HelloAckMsg {
 /// round trip). Either way every participant holds the SAME MgSetup and
 /// owned row ranges (shard_owned_ranges) -- no further coordination is
 /// needed for the BSP discipline to be bitwise reproducible across
-/// processes.
+/// processes. `peers` names every shard's data endpoint, so the workers
+/// link to each other directly (DESIGN.md section 14).
 struct SolveRequestMsg {
   std::uint32_t shard = 0;
   std::uint32_t num_shards = 1;
@@ -204,6 +219,14 @@ struct SolveRequestMsg {
   std::int32_t crash_after = -1;
   /// setup_key() of the hierarchy and the smoother fields above.
   std::uint64_t setup_key = 0;
+  /// Per-solve secret every kPeerHello of this solve must carry.
+  std::uint64_t link_nonce = 0;
+  /// A peer link not up this many milliseconds after the request arrives
+  /// counts as a peer dead from round 0.
+  std::uint32_t link_timeout_ms = 2000;
+  /// Data endpoint of every shard (indexed by shard), or empty: a shard
+  /// without an endpoint cannot be dialled, so its link never comes up.
+  std::vector<Endpoint> peers;
   /// save_hierarchy_string bytes; empty in a key-only request.
   std::string hierarchy;
   std::vector<double> b;
@@ -219,9 +242,12 @@ struct HaloFrameMsg {
   std::vector<double> data;
 };
 
-struct ProgressMsg {
-  std::uint32_t shard = 0;
-  std::uint64_t commits = 0;
+/// First frame on a peer link, dialler to listener: names the solve by its
+/// link nonce and the link by its two shards.
+struct PeerHelloMsg {
+  std::uint64_t nonce = 0;
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
 };
 
 struct HeartbeatMsg {
@@ -263,7 +289,7 @@ std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m);
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& m);
 std::vector<std::uint8_t> encode_halo_frame(const HaloFrameMsg& m);
-std::vector<std::uint8_t> encode_progress(const ProgressMsg& m);
+std::vector<std::uint8_t> encode_peer_hello(const PeerHelloMsg& m);
 std::vector<std::uint8_t> encode_heartbeat(const HeartbeatMsg& m);
 std::vector<std::uint8_t> encode_peer_dead(const PeerDeadMsg& m);
 std::vector<std::uint8_t> encode_solve_done(const SolveDoneMsg& m);
@@ -275,7 +301,7 @@ HelloMsg decode_hello(const std::vector<std::uint8_t>& p);
 HelloAckMsg decode_hello_ack(const std::vector<std::uint8_t>& p);
 SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& p);
 HaloFrameMsg decode_halo_frame(const std::vector<std::uint8_t>& p);
-ProgressMsg decode_progress(const std::vector<std::uint8_t>& p);
+PeerHelloMsg decode_peer_hello(const std::vector<std::uint8_t>& p);
 HeartbeatMsg decode_heartbeat(const std::vector<std::uint8_t>& p);
 PeerDeadMsg decode_peer_dead(const std::vector<std::uint8_t>& p);
 SolveDoneMsg decode_solve_done(const std::vector<std::uint8_t>& p);

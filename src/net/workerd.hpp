@@ -1,25 +1,45 @@
 #pragma once
 // WorkerDaemon: one shard of the multi-process solver service. The daemon
-// listens on loopback (port 0 = ephemeral, reported via port()), accepts a
-// coordinator session, and for every kSolveRequest runs the SAME per-shard
-// loop the in-process solver runs (shard/worker.hpp run_shard_worker) over
-// a SocketTransport -- the executor cannot tell threads from processes.
+// listens on loopback for coordinator sessions (port 0 = ephemeral,
+// reported via port()) and on a second ephemeral loopback port, its data
+// listener, for links from its peers. For every kSolveRequest it runs the
+// SAME per-shard loop the in-process solver runs (shard/worker.hpp
+// run_shard_worker) over a SocketTransport -- the executor cannot tell
+// threads from processes.
 //
-// Session threading (one solve):
+// One solve, in the session thread:
 //
-//   reader (this thread)   dispatches inbound frames: kHaloFrame ->
-//                          SocketTransport::deliver, kProgress / kPeerDead
-//                          -> NetPeerBoard, kShutdown -> stop after the
-//                          solve. A closed connection marks every peer dead
-//                          so the solver finishes locally instead of
-//                          waiting on relays that will never come. Blocks
-//                          in recv_frame until a frame arrives or the
-//                          solver signals its WakeFd on return.
-//   solver thread          run_shard_worker, untouched.
-//   heartbeat thread       kHeartbeat every heartbeat_ms so the coordinator
-//                          can tell a slow worker from a dead one; between
-//                          beats it waits on the solver's WakeFd, so it
-//                          ends with the solve.
+//   link phase      right after the request is decoded, before the setup
+//                   is loaded (so peers link while a cold setup loads):
+//                   dial every higher-numbered shard's data endpoint and
+//                   send kPeerHello, then accept one link from each
+//                   lower-numbered shard, dropping any connection whose
+//                   first frame is not a kPeerHello with this solve's
+//                   nonce, an awaited sender and this shard as receiver. A
+//                   link not up by the request's link deadline counts as a
+//                   peer dead from round 0. The coordinator link is
+//                   watched throughout (kPeerDead ends a wait early) and
+//                   beaten on every heartbeat_ms.
+//   solve           one poll over the coordinator link, every live peer
+//                   link and the solver's WakeFd. A block on link p ->
+//                   SocketTransport::deliver plus p's commit count from its
+//                   seq; anything else on link p, or its EOF, cuts p off as
+//                   dead (shutdown_both, which also unblocks a solver stuck
+//                   sending to p). kPeerDead cuts its peer off the same
+//                   way; kShutdown stops the daemon after the solve; a halo
+//                   frame on the coordinator link is a protocol violation,
+//                   handled as a lost coordinator, which cuts every peer
+//                   off so the solver finishes locally.
+//   linger          after kSolveDone, keep draining the links until the
+//                   coordinator link turns readable (its EOF once every
+//                   worker has reported), so a slower peer's last sends to
+//                   this worker neither block nor fail.
+//
+//   solver thread     run_shard_worker, untouched.
+//   heartbeat thread  kHeartbeat every heartbeat_ms while the solver runs
+//                     so the coordinator can tell a slow worker from a dead
+//                     one; between beats it waits on the solver's WakeFd,
+//                     so it ends with the solve.
 //
 // Determinism: the worker rebuilds the full MgSetup from the serialized
 // hierarchy (amg/serialize round trips bit-exactly), computes every shard's
@@ -34,11 +54,11 @@
 // disagrees with the bytes, or a key-only request for a setup the worker
 // does not hold, is a protocol violation that ends the session unsolved.
 //
-// The kSolveRequest crash_after hook makes the worker drop the connection
+// The kSolveRequest crash_after hook makes the worker drop its connections
 // without kSolveDone after that many corrections -- a deterministic SIGKILL
 // stand-in so crash-recovery tests are not racing a signal. The bench
 // harness kills real processes instead; both end in the same EOF at the
-// coordinator.
+// coordinator and at every peer.
 
 #include <atomic>
 #include <cstdint>
@@ -75,8 +95,8 @@ struct WorkerDaemonOptions {
 
 class WorkerDaemon {
  public:
-  /// Validates options and binds the listener (throws SocketError when the
-  /// port is taken).
+  /// Validates options and binds both listeners (throws SocketError when
+  /// the port is taken).
   explicit WorkerDaemon(WorkerDaemonOptions opts);
 
   std::uint16_t port() const { return listener_.port(); }
@@ -97,11 +117,15 @@ class WorkerDaemon {
  private:
   enum class SessionEnd { kPeerGone, kShutdown, kCrashed };
 
+  struct Session;
+
   SessionEnd serve(FrameConn& conn);
   /// Runs one solve over `conn`; false means the crash hook fired and the
   /// connection must be dropped without kSolveDone.
-  bool handle_solve(FrameConn& conn, const SolveRequestMsg& req,
-                    const MgSetup& setup);
+  bool handle_solve(FrameConn& conn, const SolveRequestMsg& req);
+  /// The link phase (header comment): fills the session's links, marking
+  /// every peer whose link did not come up dead.
+  void link_peers(Session& ses, const SolveRequestMsg& req);
   /// The setup the request names: the cached one for a key-only request,
   /// else the request's hierarchy, loaded and cached. Throws WireError when
   /// a key-only request's key is not cached or a hierarchy's key is not the
@@ -110,6 +134,7 @@ class WorkerDaemon {
 
   WorkerDaemonOptions opts_;
   ListenSocket listener_;
+  ListenSocket data_;
   std::atomic<bool> stop_{false};
 
   struct CacheEntry {

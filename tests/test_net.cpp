@@ -7,9 +7,11 @@
 // recovery, never a deadlock).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "net/workerd.hpp"
+#include "shard/partition.hpp"
 #include "shard/solver.hpp"
 #include "sparse/vec.hpp"
 #include "telemetry/sink.hpp"
@@ -161,6 +164,10 @@ TEST(Wire, SolveRequestRoundTrip) {
   m.max_dense_coarse = 1234;
   m.crash_after = 7;
   m.setup_key = 0xFEDCBA9876543210ull;
+  m.link_nonce = 0x0BADC0FFEE15600Dull;
+  m.link_timeout_ms = 750;
+  m.peers = {
+      {"127.0.0.1", 4001}, {"10.0.0.7", 65535}, {"127.0.0.1", 1}, {"", 0}};
   m.hierarchy = "not a real hierarchy\n\0binary-ish";
   m.b = {1.0, 2.0, 3.0};
   m.x0 = {0.0, -1.0, 0.5};
@@ -182,18 +189,39 @@ TEST(Wire, SolveRequestRoundTrip) {
   EXPECT_EQ(out.max_dense_coarse, m.max_dense_coarse);
   EXPECT_EQ(out.crash_after, m.crash_after);
   EXPECT_EQ(out.setup_key, m.setup_key);
+  EXPECT_EQ(out.link_nonce, m.link_nonce);
+  EXPECT_EQ(out.link_timeout_ms, m.link_timeout_ms);
+  ASSERT_EQ(out.peers.size(), m.peers.size());
+  for (std::size_t i = 0; i < m.peers.size(); ++i) {
+    EXPECT_EQ(out.peers[i].host, m.peers[i].host) << "peer " << i;
+    EXPECT_EQ(out.peers[i].port, m.peers[i].port) << "peer " << i;
+  }
   EXPECT_EQ(out.hierarchy, m.hierarchy);
   EXPECT_EQ(out.b, m.b);
   EXPECT_EQ(out.x0, m.x0);
+
+  // A request names no data endpoints or one per shard, and a link
+  // deadline of at least a millisecond.
+  SolveRequestMsg bad = m;
+  bad.peers.pop_back();
+  EXPECT_THROW(decode_solve_request(encode_solve_request(bad)), WireError);
+  bad = m;
+  bad.link_timeout_ms = 0;
+  EXPECT_THROW(decode_solve_request(encode_solve_request(bad)), WireError);
+  bad = m;
+  bad.peers.clear();
+  EXPECT_TRUE(decode_solve_request(encode_solve_request(bad)).peers.empty());
 }
 
 TEST(Wire, ControlMessagesRoundTrip) {
   HelloMsg hello;
   hello.role = WireRole::kWorker;
   hello.name = "w-3";
+  hello.data_port = 40123;
   const HelloMsg hello2 = decode_hello(encode_hello(hello));
   EXPECT_EQ(hello2.role, hello.role);
   EXPECT_EQ(hello2.name, hello.name);
+  EXPECT_EQ(hello2.data_port, 40123);
 
   HelloAckMsg ack;
   ack.shard = 3;
@@ -202,10 +230,13 @@ TEST(Wire, ControlMessagesRoundTrip) {
   EXPECT_EQ(ack2.shard, 3u);
   EXPECT_EQ(ack2.num_shards, 5u);
 
-  ProgressMsg pr{2, 41};
-  const ProgressMsg pr2 = decode_progress(encode_progress(pr));
-  EXPECT_EQ(pr2.shard, 2u);
-  EXPECT_EQ(pr2.commits, 41u);
+  const PeerHelloMsg ph{0xFEEDFACECAFEBEEFull, 2, 5};
+  const PeerHelloMsg ph2 = decode_peer_hello(encode_peer_hello(ph));
+  EXPECT_EQ(ph2.nonce, ph.nonce);
+  EXPECT_EQ(ph2.from, 2u);
+  EXPECT_EQ(ph2.to, 5u);
+  EXPECT_THROW(decode_peer_hello(encode_peer_hello({ph.nonce, 3, 3})),
+               WireError);  // a link to itself
 
   HeartbeatMsg hb{1, 7, 99};
   const HeartbeatMsg hb2 = decode_heartbeat(encode_heartbeat(hb));
@@ -241,6 +272,7 @@ TEST(Wire, ControlMessagesRoundTrip) {
   const HelloMsg warm2 = decode_hello(encode_hello(warm));
   EXPECT_EQ(warm2.name, warm.name);
   EXPECT_EQ(warm2.setup_keys, warm.setup_keys);
+  EXPECT_EQ(warm2.data_port, warm.data_port);
 }
 
 TEST(Wire, SetupKeySurvivesSerializationAndNamesTheSetup) {
@@ -324,16 +356,22 @@ TEST(WireFuzz, TruncatedPayloadsAlwaysThrow) {
       EXPECT_THROW(decode_halo_frame(trunc), WireError) << "cut=" << cut;
     }
   }
-  // Same for the big composite message, full and key-only, and a hello
-  // that lists setup keys.
+  // Same for the big composite message, full and key-only, with and
+  // without data endpoints, and a hello that lists setup keys and names
+  // its data port.
   SolveRequestMsg req;
+  req.num_shards = 2;
   req.setup_key = 0x5EEDull;
+  req.link_nonce = 0xA11CEull;
+  req.peers = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};
   req.hierarchy = "hier";
   req.b = {1.0, 2.0};
   req.x0 = {0.0, 0.0};
   SolveRequestMsg key_only = req;
   key_only.hierarchy.clear();
-  for (const SolveRequestMsg& m : {req, key_only}) {
+  SolveRequestMsg no_peers = key_only;
+  no_peers.peers.clear();
+  for (const SolveRequestMsg& m : {req, key_only, no_peers}) {
     const std::vector<std::uint8_t> payload = encode_solve_request(m);
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
       const std::vector<std::uint8_t> trunc(
@@ -345,18 +383,25 @@ TEST(WireFuzz, TruncatedPayloadsAlwaysThrow) {
   HelloMsg hello;
   hello.name = "w1";
   hello.setup_keys = {0x5EEDull, 0xBEEFull};
+  hello.data_port = 7003;
   const std::vector<std::uint8_t> warm = encode_hello(hello);
   for (std::size_t cut = 0; cut < warm.size(); ++cut) {
     const std::vector<std::uint8_t> trunc(
         warm.begin(), warm.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_THROW(decode_hello(trunc), WireError) << "cut=" << cut;
   }
+  const std::vector<std::uint8_t> link = encode_peer_hello({0xA11CEull, 0, 1});
+  for (std::size_t cut = 0; cut < link.size(); ++cut) {
+    const std::vector<std::uint8_t> trunc(
+        link.begin(), link.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(decode_peer_hello(trunc), WireError) << "cut=" << cut;
+  }
 }
 
 TEST(WireFuzz, TrailingBytesRejected) {
-  std::vector<std::uint8_t> payload = encode_progress({1, 2});
+  std::vector<std::uint8_t> payload = encode_peer_hello({7, 1, 2});
   payload.push_back(0);
-  EXPECT_THROW(decode_progress(payload), WireError);
+  EXPECT_THROW(decode_peer_hello(payload), WireError);
 }
 
 TEST(WireFuzz, HostileLengthPrefixesRejected) {
@@ -382,21 +427,27 @@ TEST(WireFuzz, CorruptedFramesDetected) {
   // Flip each single bit of a framed message: the decode pipeline (header
   // validation -> length check -> checksum -> typed decode) must throw for
   // every flip outside the type byte, and must never crash for any flip.
-  // The corpus holds a halo frame, a key-only solve request and a hello
-  // that lists two setup keys, each decoded as the type it was sent as.
+  // The corpus holds a halo frame, a key-only solve request naming two data
+  // endpoints, a hello that lists two setup keys and a data port, and a
+  // peer hello, each decoded as the type it was sent as.
   Rng rng(5);
   SolveRequestMsg key_only;
+  key_only.num_shards = 2;
   key_only.setup_key = rng.next_u64();
+  key_only.link_nonce = rng.next_u64();
+  key_only.peers = {{"127.0.0.1", 7001}, {"127.0.0.1", 7002}};
   key_only.b = {1.0, -2.0, 0.5};
   key_only.x0 = {0.0, 0.25, 0.0};
   HelloMsg hello;
   hello.name = "w1";
   hello.setup_keys = {rng.next_u64(), rng.next_u64()};
+  hello.data_port = 7003;
   const std::vector<std::pair<MsgType, std::vector<std::uint8_t>>> corpus = {
       {MsgType::kHaloFrame,
        encode_halo_frame(random_halo(rng, WireWidth::kF64, 9))},
       {MsgType::kSolveRequest, encode_solve_request(key_only)},
       {MsgType::kHello, encode_hello(hello)},
+      {MsgType::kPeerHello, encode_peer_hello({rng.next_u64(), 0, 1})},
   };
   for (const auto& [sent_as, payload] : corpus) {
     const std::vector<std::uint8_t> frame = encode_frame(sent_as, payload);
@@ -418,8 +469,10 @@ TEST(WireFuzz, CorruptedFramesDetected) {
             (void)decode_halo_frame(p);
           } else if (sent_as == MsgType::kSolveRequest) {
             (void)decode_solve_request(p);
-          } else {
+          } else if (sent_as == MsgType::kHello) {
             (void)decode_hello(p);
+          } else {
+            (void)decode_peer_hello(p);
           }
         } catch (const WireError&) {
           threw = true;
@@ -437,14 +490,17 @@ TEST(WireFuzz, VersionOneFrameRejected) {
   // A version-1 peer hashes payloads byte by byte and expects the hierarchy
   // in every request: its frames are refused at the header. So are a
   // version-3 peer's, whose halo frames carry boundary slices instead of
-  // owned blocks.
+  // owned blocks, and a version-4 peer's, which waits for blocks relayed by
+  // the coordinator instead of linking to its peers.
   std::vector<std::uint8_t> frame =
-      encode_frame(MsgType::kProgress, encode_progress({1, 2}));
+      encode_frame(MsgType::kPeerHello, encode_peer_hello({1, 0, 2}));
   ASSERT_EQ(frame[4], kWireVersion);
   ASSERT_NO_THROW(decode_frame_header(frame.data(), frame.size()));
   frame[4] = 1;
   EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
   frame[4] = 3;
+  EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
+  frame[4] = 4;
   EXPECT_THROW(decode_frame_header(frame.data(), frame.size()), WireError);
 }
 
@@ -512,12 +568,12 @@ struct ConnPair {
 };
 
 TEST(NetTransport, MailboxFifoAndNewestWins) {
-  ConnPair pair;
+  ConnPair pair;  // a: this shard's link to peer 1, b: peer 1's end
   SocketTransportOptions sto;
   sto.shard = 0;
   sto.num_shards = 3;
   sto.mailbox_capacity = 2;
-  sto.conn = pair.a.get();
+  sto.links = {nullptr, pair.a.get(), nullptr};
   SocketTransport t(sto);
 
   auto frame = [](std::uint64_t seq) {
@@ -565,7 +621,7 @@ TEST(NetTransport, MailboxFifoAndNewestWins) {
   t.deliver(bad);
   EXPECT_EQ(t.packets_dropped(), dropped + 2);
 
-  // send() writes a decodable frame to the wire.
+  // send() writes a decodable frame to the peer's link.
   HaloPacket out;
   out.seq = 42;
   out.data = {1.5, -2.5};
@@ -590,7 +646,7 @@ TEST(NetTransport, LengthMismatchedFramesDropped) {
   SocketTransportOptions sto;
   sto.shard = 0;
   sto.num_shards = 2;
-  sto.conn = pair.a.get();
+  sto.links = {nullptr, pair.a.get()};
   sto.expect_boundary = {0, 5};  // peer 1 owns 5 rows
   SocketTransport t(sto);
 
@@ -626,26 +682,77 @@ TEST(NetTransport, LengthMismatchedFramesDropped) {
 }
 
 TEST(NetTransport, PeerBoardPublishesAndApplies) {
-  ConnPair pair;
-  NetPeerBoard board(3, 0, pair.a.get());
-
+  // A halo frame's seq is its sender's commit count: the board learns a
+  // peer's commits from the blocks delivered off that peer's link, and a
+  // local publish writes nothing (the board holds no connection).
+  NetPeerBoard board(3, 0);
   board.publish_commits(0, 5);
   EXPECT_EQ(board.commits(0), 5);
+
+  ConnPair pair;
+  SocketTransportOptions sto;
+  sto.shard = 0;
+  sto.num_shards = 3;
+  sto.links = {nullptr, pair.a.get(), nullptr};
+  sto.expect_boundary = {0, 2, 2};
+  SocketTransport t(sto);
+  HaloFrameMsg m;
+  m.from = 1;
+  m.to = 0;
+  m.seq = 9;
+  m.data = {1.0, 2.0};
+  ASSERT_TRUE(deliver_from_link(1, m, t, board));
+  EXPECT_EQ(board.commits(1), 9);
+  HaloPacket p;
+  ASSERT_TRUE(t.recv_next(0, 1, HaloTag::kBoundaryX, p));
+  EXPECT_EQ(p.seq, 9u);
+  // A block off the wrong link, or one the transport refuses, teaches the
+  // board nothing and tells the caller to cut the link.
+  m.seq = 12;
+  EXPECT_FALSE(deliver_from_link(2, m, t, board));
+  m.data = {1.0};
+  EXPECT_FALSE(deliver_from_link(1, m, t, board));
+  EXPECT_EQ(board.commits(1), 9);
+  EXPECT_EQ(board.commits(2), 0);
+  // Nothing reached the wire.
   MsgType type{};
   std::vector<std::uint8_t> payload;
-  ASSERT_EQ(pair.b->recv_frame(type, payload, 5000), RecvStatus::kFrame);
-  ASSERT_EQ(type, MsgType::kProgress);
-  const ProgressMsg m = decode_progress(payload);
-  EXPECT_EQ(m.shard, 0u);
-  EXPECT_EQ(m.commits, 5u);
+  EXPECT_EQ(pair.b->recv_frame(type, payload, 50), RecvStatus::kTimeout);
 
-  board.apply_progress({1, 9});
-  EXPECT_EQ(board.commits(1), 9);
   EXPECT_FALSE(board.dead(2));
   board.apply_dead(2);
   EXPECT_TRUE(board.dead(2));
   board.apply_dead(0);  // self: ignored
   EXPECT_FALSE(board.dead(0));
+}
+
+TEST(NetTransport, SendSkipsDeadPeersAndLinkless) {
+  // A dead peer's edge is skipped, and so is a peer whose link never came
+  // up; each skip counts as a dropped packet.
+  ConnPair pair;
+  SocketTransportOptions sto;
+  sto.shard = 0;
+  sto.num_shards = 3;
+  sto.links = {nullptr, pair.a.get(), nullptr};
+  SocketTransport t(sto);
+  HaloPacket out;
+  out.seq = 1;
+  out.data = {0.5};
+  EXPECT_FALSE(t.send(0, 2, HaloTag::kBoundaryX, HaloPacket(out)));
+  EXPECT_EQ(t.packets_dropped(), 1u);
+  ASSERT_TRUE(t.send(0, 1, HaloTag::kBoundaryX, HaloPacket(out)));
+  t.peer_dead(1);
+  EXPECT_FALSE(t.send(0, 1, HaloTag::kBoundaryX, HaloPacket(out)));
+  EXPECT_EQ(t.packets_sent(), 1u);
+  EXPECT_EQ(t.packets_dropped(), 2u);
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(pair.b->recv_frame(type, payload, 5000), RecvStatus::kFrame);
+  EXPECT_EQ(decode_halo_frame(payload).seq, 1u);
+  EXPECT_EQ(pair.b->recv_frame(type, payload, 50), RecvStatus::kTimeout);
+
+  sto.links.pop_back();  // one link per shard, null or not
+  EXPECT_THROW(SocketTransport bad(sto), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +816,11 @@ TEST(NetCluster, BspSolveMatchesInProcessOracleBitwise) {
     }
     EXPECT_EQ(r.final_rel_res, r1.final_rel_res);
     for (int c : r.corrections) EXPECT_EQ(c, cso.t_max);
-    EXPECT_GT(r.frames_relayed, 0u);
+    // Blocks travel on the workers' own links: every worker sends every
+    // peer one block per round, and the coordinator forwards none.
+    EXPECT_EQ(r.frames_relayed, 0u);
+    EXPECT_EQ(r.halo_frames, shards * (shards - 1) *
+                                 static_cast<std::uint64_t>(cso.t_max));
     EXPECT_GT(r.bytes_received, 0u);
     const std::string json = r.to_json();
     EXPECT_NE(json.find("\"frames_relayed\""), std::string::npos);
@@ -1090,8 +1201,8 @@ TEST(NetCluster, OperatorStoredOutOfColumnOrderSolvesBitwise) {
 TEST(NetCluster, MixedFleetKeepsFramesThatOvertakeTheResentRequest) {
   // Two workers that hold the setup get the key alone and start solving at
   // once, while a fresh third one gets the hierarchy and loads it first.
-  // The warm workers' relayed frames must reach it only after its request,
-  // or its BSP rounds never complete.
+  // The warm workers' blocks wait on their links until it has loaded, or
+  // its BSP rounds never complete.
   Fixture f;
   const int t_max = 6;
   ClusterSolveOptions cso;
@@ -1254,6 +1365,310 @@ TEST(NetCluster, KeyOnlyRequestForAnUncachedSetupIsRefused) {
   EXPECT_NE(stats.find("\"solves\":0"), std::string::npos) << stats;
 }
 
+TEST(NetCluster, HostilePeerDialersAreRefused) {
+  // Three hand-rolled dialers reach worker 2's data listener ahead of its
+  // real peer 0: one with a wrong nonce, one naming a shard that does not
+  // exist, and one whose first frame is not a peer hello. Worker 2 drops
+  // each, the real links still come up, and the answer is bitwise the
+  // oracle's.
+  Fixture f;
+  const int t_max = 6;
+  const Vector oracle = bsp_oracle(f, t_max);
+  DaemonSet fleet(3);
+  std::vector<std::unique_ptr<FrameConn>> hostile;
+  {
+    // Holds worker 0's request until the dialers have connected and
+    // spoken, so they sit ahead of worker 0's own link in worker 2's accept
+    // queue.
+    RequestRewriteProxy proxy(
+        fleet.endpoints[0].port, [&](SolveRequestMsg& req) {
+          const Endpoint target = req.peers.at(2);
+          const std::vector<std::pair<MsgType, std::vector<std::uint8_t>>>
+              first = {
+                  {MsgType::kPeerHello,
+                   encode_peer_hello({req.link_nonce ^ 1, 0, 2})},
+                  {MsgType::kPeerHello,
+                   encode_peer_hello({req.link_nonce, 3, 2})},
+                  {MsgType::kHeartbeat, encode_heartbeat({0, 0, 0})},
+              };
+          for (const auto& [type, payload] : first) {
+            hostile.push_back(std::make_unique<FrameConn>(
+                connect_tcp(target.host, target.port, 5000)));
+            hostile.back()->send_frame(type, payload);
+          }
+        });
+    ClusterOptions co;
+    co.endpoints = {{"127.0.0.1", proxy.port()},
+                    fleet.endpoints[1],
+                    fleet.endpoints[2]};
+    ClusterCoordinator coordinator(co);
+    ClusterSolveOptions cso;
+    cso.bsp = true;
+    cso.t_max = t_max;
+    cso.additive = f.ao;
+    Vector x(f.b.size(), 0.0);
+    const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+    EXPECT_TRUE(r.dead_workers.empty());
+    EXPECT_EQ(r.halo_frames, 6u * static_cast<std::uint64_t>(t_max));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], oracle[i]) << "row " << i;
+    }
+  }  // the proxy's thread, which made the dialers, has ended
+  ASSERT_EQ(hostile.size(), 3u);
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    MsgType type{};
+    std::vector<std::uint8_t> payload;
+    EXPECT_EQ(hostile[i]->recv_frame(type, payload, 5000), RecvStatus::kClosed)
+        << "dialer " << i << " was not refused";
+  }
+}
+
+/// A hand-rolled worker for one coordinator session. It says hello with its
+/// own data port, reads its solve request and links to its peers as a real
+/// worker does (dials each higher-numbered shard, accepts one link from
+/// each lower-numbered one), then hands the session to `act` and ends it
+/// when `act` returns.
+class FakeWorker {
+ public:
+  struct Session {
+    FrameConn* coord = nullptr;
+    SolveRequestMsg req;
+    std::vector<std::unique_ptr<FrameConn>> links;  // by shard
+  };
+
+  /// `rcvbuf` > 0 sets SO_RCVBUF on the links it accepts.
+  explicit FakeWorker(std::function<void(Session&)> act, int rcvbuf = 0)
+      : control_(0), data_(0), act_(std::move(act)) {
+    if (rcvbuf > 0) {
+      ::setsockopt(data_.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    thread_ = std::thread([this] { run(); });
+  }
+  ~FakeWorker() { join(); }
+  FakeWorker(const FakeWorker&) = delete;
+  FakeWorker& operator=(const FakeWorker&) = delete;
+  Endpoint endpoint() const { return {"127.0.0.1", control_.port()}; }
+  /// Waits for the session to end; what `act` wrote is then readable.
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  void run() {
+    try {
+      FrameConn coord(control_.accept(10000));
+      HelloMsg hello;
+      hello.name = "fake";
+      hello.data_port = data_.port();
+      coord.send_frame(MsgType::kHello, encode_hello(hello));
+      Session ses;
+      ses.coord = &coord;
+      MsgType type{};
+      std::vector<std::uint8_t> payload;
+      while (coord.recv_frame(type, payload, 10000) == RecvStatus::kFrame) {
+        if (type == MsgType::kSolveRequest) {
+          ses.req = decode_solve_request(payload);
+          break;
+        }
+      }
+      const std::size_t self = ses.req.shard;
+      ses.links.resize(ses.req.num_shards);
+      for (std::size_t p = self + 1; p < ses.links.size(); ++p) {
+        ses.links[p] = std::make_unique<FrameConn>(connect_tcp(
+            ses.req.peers[p].host, ses.req.peers[p].port, 5000));
+        ses.links[p]->send_frame(
+            MsgType::kPeerHello,
+            encode_peer_hello({ses.req.link_nonce,
+                               static_cast<std::uint32_t>(self),
+                               static_cast<std::uint32_t>(p)}));
+      }
+      for (std::size_t k = 0; k < self; ++k) {
+        auto link = std::make_unique<FrameConn>(data_.accept(10000));
+        if (link->recv_frame(type, payload, 10000) != RecvStatus::kFrame) {
+          continue;
+        }
+        const PeerHelloMsg h = decode_peer_hello(payload);
+        ses.links.at(h.from) = std::move(link);
+      }
+      act_(ses);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "fake worker: " << e.what();
+    }
+  }
+
+  ListenSocket control_;
+  ListenSocket data_;
+  std::function<void(Session&)> act_;
+  std::thread thread_;
+};
+
+TEST(NetCluster, MisbehavingPeerIsCutOff) {
+  // A linked peer (shard 1, hand-rolled) sends worker 2 a halo frame with a
+  // bad sender, a bad receiver, or a bad length. Worker 2 cuts the link at
+  // once -- the fake sees EOF while its coordinator connection is still
+  // open, so no kPeerDead caused it -- and the fake then leaves, so the
+  // coordinator reports it dead to worker 0 too. The survivors finish every
+  // round, and the daemons serve the next session.
+  Fixture f;
+  const std::vector<Range> owned = shard_owned_ranges(f.setup->a(0), 3);
+  DaemonSet fleet(2);
+  for (int variant = 0; variant < 3; ++variant) {
+    bool cut_seen = false;
+    FakeWorker fake([&](FakeWorker::Session& ses) {
+      HaloFrameMsg m;
+      m.from = 1;
+      m.to = 2;
+      m.seq = 1;
+      m.data.assign(owned[1].size(), 0.0);
+      if (variant == 0) m.from = 0;
+      if (variant == 1) m.to = 0;
+      if (variant == 2) m.data.push_back(0.0);
+      ses.links.at(2)->send_frame(MsgType::kHaloFrame, encode_halo_frame(m));
+      // Skip the blocks worker 2 sends before it reads ours; its EOF must
+      // come well under the coordinator's 2 s heartbeat timeout.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+      MsgType type{};
+      std::vector<std::uint8_t> payload;
+      RecvStatus st = RecvStatus::kFrame;
+      while (st == RecvStatus::kFrame &&
+             std::chrono::steady_clock::now() < until) {
+        st = ses.links[2]->recv_frame(type, payload, 100);
+      }
+      cut_seen = st == RecvStatus::kClosed;
+    });
+    ClusterOptions co;
+    co.endpoints = {fleet.endpoints[0], fake.endpoint(), fleet.endpoints[1]};
+    ClusterCoordinator coordinator(co);
+    ClusterSolveOptions cso;
+    cso.bsp = true;
+    cso.t_max = 6;
+    cso.additive = f.ao;
+    Vector x(f.b.size(), 0.0);
+    const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+    fake.join();
+    EXPECT_TRUE(cut_seen) << "variant " << variant;
+    EXPECT_EQ(r.dead_workers, std::vector<std::size_t>{1})
+        << "variant " << variant;
+    EXPECT_EQ(r.corrections[0], cso.t_max) << "variant " << variant;
+    EXPECT_EQ(r.corrections[2], cso.t_max) << "variant " << variant;
+    EXPECT_TRUE(std::isfinite(r.final_rel_res)) << "variant " << variant;
+  }
+  const Vector oracle = bsp_oracle(f, 5);
+  ClusterOptions co;
+  co.endpoints = fleet.endpoints;
+  ClusterSolveOptions cso;
+  cso.bsp = true;
+  cso.t_max = 5;
+  cso.additive = f.ao;
+  Vector x(f.b.size(), 0.0);
+  const ClusterResult r = ClusterCoordinator(co).solve(*f.setup, f.b, x, cso);
+  EXPECT_TRUE(r.dead_workers.empty());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(x[i], oracle[i]) << "row " << i;
+  }
+}
+
+TEST(NetCluster, UnreachablePeerEndsWithinLinkDeadline) {
+  // A proxy points worker 0's view of worker 1's data port at a closed
+  // port. Worker 0 cannot dial it, and worker 1 waits for a dial that never
+  // comes until the link deadline (connect_timeout_ms); each then solves
+  // alone with the other dead from round 0. The solve ends soon after the
+  // deadline instead of hanging.
+  Fixture f;
+  DaemonSet fleet(2);
+  std::uint16_t closed = 0;
+  {
+    ListenSocket gone(0);
+    closed = gone.port();
+  }
+  RequestRewriteProxy proxy(fleet.endpoints[0].port, [&](SolveRequestMsg& req) {
+    req.peers.at(1).port = closed;
+  });
+  ClusterOptions co;
+  co.endpoints = {{"127.0.0.1", proxy.port()}, fleet.endpoints[1]};
+  co.connect_timeout_ms = 300;
+  ClusterCoordinator coordinator(co);
+  ClusterSolveOptions cso;
+  cso.bsp = true;
+  cso.t_max = 6;
+  cso.additive = f.ao;
+  Vector x(f.b.size(), 0.0);
+  const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+  EXPECT_TRUE(r.dead_workers.empty());
+  EXPECT_EQ(r.corrections[0], cso.t_max);
+  EXPECT_EQ(r.corrections[1], cso.t_max);
+  EXPECT_EQ(r.halo_frames, 0u);  // neither link came up
+  EXPECT_TRUE(std::isfinite(r.final_rel_res));
+  EXPECT_LT(r.seconds, 2.0);  // the 0.3 s deadline, not a hang
+}
+
+TEST(NetCluster, SilentPeerDoesNotStallSurvivors) {
+  // Shard 2 is a fake that completes its links, then neither reads them nor
+  // beats. Free-running with max_lag = t_max, the survivors never wait for
+  // it, so each sends it t_max blocks -- far more than its socket buffers
+  // hold, so their solvers block in send. The coordinator declares it dead
+  // at the short heartbeat timeout, the survivors shut its links down,
+  // which unblocks those sends, and they finish all t_max rounds.
+  const Fixture f(20);  // 8000 rows: 21 KB blocks to the fake
+  const int t_max = 600;  // ~12.8 MB per survivor, against ~4 MB buffered
+  DaemonSet fleet(2);
+  ClusterSolveOptions cso;
+  cso.bsp = false;
+  cso.t_max = t_max;
+  cso.max_lag = t_max;
+  cso.additive = f.ao;
+  {
+    // Warm the survivors' setup caches, so no setup load races the short
+    // heartbeat timeout below.
+    ClusterOptions co;
+    co.endpoints = fleet.endpoints;
+    ClusterSolveOptions once = cso;
+    once.t_max = 1;
+    Vector x(f.b.size(), 0.0);
+    ASSERT_TRUE(ClusterCoordinator(co)
+                    .solve(*f.setup, f.b, x, once)
+                    .dead_workers.empty());
+  }
+  WakeFd solved;
+  std::vector<int> blocks(2, 0);
+  FakeWorker fake(
+      [&](FakeWorker::Session& ses) {
+        solved.wait_for(60000);
+        // Count the whole blocks that reached this end before the links
+        // were shut down.
+        for (std::size_t p = 0; p < 2; ++p) {
+          MsgType type{};
+          std::vector<std::uint8_t> payload;
+          while (ses.links[p] != nullptr &&
+                 ses.links[p]->recv_frame(type, payload, 5000) ==
+                     RecvStatus::kFrame) {
+            ++blocks[p];
+          }
+        }
+      },
+      4096);
+  ClusterOptions co;
+  co.endpoints = {fleet.endpoints[0], fleet.endpoints[1], fake.endpoint()};
+  co.heartbeat_timeout_ms = 500.0;
+  ClusterCoordinator coordinator(co);
+  Vector x(f.b.size(), 0.0);
+  const ClusterResult r = coordinator.solve(*f.setup, f.b, x, cso);
+  solved.signal();
+  EXPECT_EQ(r.dead_workers, std::vector<std::size_t>{2});
+  EXPECT_EQ(r.corrections[0], t_max);
+  EXPECT_EQ(r.corrections[1], t_max);
+  EXPECT_TRUE(std::isfinite(r.final_rel_res));
+  EXPECT_GT(r.frames_dropped, 0u);  // blocks for the dead fake, skipped
+  // The survivors could not deposit every block: their sends to the fake
+  // did outgrow its socket buffers.
+  fake.join();
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_GT(blocks[p], 0) << "survivor " << p;
+    EXPECT_LT(blocks[p], t_max) << "survivor " << p;
+  }
+}
+
 TEST(NetCluster, RefusesProtocolOneWorker) {
   // A worker that still speaks protocol 1 is refused at the handshake: no
   // assignment, and the solve fails once the connection attempts run out.
@@ -1371,10 +1786,9 @@ TEST(NetRouter, RepeatedSolveShipsOnlyTheSetupKey) {
   const std::size_t hierarchy_bytes =
       save_hierarchy_string(f.setup->hierarchy()).size();
   ASSERT_GT(r1.bytes_sent, r2.bytes_sent);
-  // Exactly 2 hierarchies apart, give or take the last halo and progress
-  // frames, which are not relayed to a worker that has finished. Bound
-  // midway between a second solve that ships no hierarchy (gap 2) and one
-  // that ships it to one worker (gap 1).
+  // 2 hierarchies apart: both solves send the same halo frames on the
+  // peer links. Bound midway between a second solve that ships no
+  // hierarchy (gap 2) and one that ships it to one worker (gap 1).
   EXPECT_GT(r1.bytes_sent - r2.bytes_sent, 3 * hierarchy_bytes / 2);
   for (std::size_t i = 0; i < x1.size(); ++i) ASSERT_EQ(x1[i], x2[i]);
 
